@@ -223,25 +223,28 @@ def embedding_preserves_way_below_check(tower: Tower, i: int, j: int) -> bool:
     )
 
 
-def dinfty_demo() -> dict:
+def dinfty_demo(stages: int = 2, *, unsafe: bool = False) -> dict:
     """The desk-scale witness for the function-space tower having a small
-    compact basis on its bilimit; returns a machine-readable report."""
+    compact basis on its bilimit; returns a machine-readable report.
+
+    Every law is computed for every stage count; ``unsafe`` is passed on to
+    ``scott_tower`` for stages past 2.
+    """
     from .expo import step_basis
 
-    tower = scott_tower(2)
+    tower = scott_tower(stages, unsafe=unsafe)
     base, base_basis = sierpinski()
     bases = [base_basis]
-    for k in range(2):
+    for k in range(stages):
         below = tower.stages[k]
         bases.append(step_basis(below, bases[k], below, bases[k]))
     bilim = finite_bilimit(tower)
     binf = bilimit_basis(bilim, bases)
+    indices = range(len(tower.stages))
     laws = {
         "ep_pairs": all(validate_ep_pair(p) for p in tower.pairs),
         "embeddings_transfer_way_below": all(
-            embedding_preserves_way_below_check(tower, i, j)
-            for i in range(len(tower.stages))
-            for j in range(i, len(tower.stages))
+            embedding_preserves_way_below_check(tower, i, j) for i in indices for j in indices[i:]
         ),
         "bilimit_iso_top_stage": bilim.poset.n == tower.top.n
         and all(
@@ -254,7 +257,7 @@ def dinfty_demo() -> dict:
             for j in range(tower.top.n)
         ),
         "stage_bases_compact": all(
-            check_small_compact_basis(tower.stages[i], bases[i]) for i in range(3)
+            check_small_compact_basis(tower.stages[i], bases[i]) for i in indices
         ),
         "bilimit_small_compact_basis": check_small_compact_basis(bilim.poset, binf),
     }

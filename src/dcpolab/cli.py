@@ -20,24 +20,31 @@ from .waybelow import BasisMap
 
 # ---------------------------------------------------------------- file formats
 
-def parse_poset_file(text: str) -> FinPoset:
-    """Poset grammar: line 1 'poset', line 2 'elements: ...', line 3 'covers: ...'."""
+def _parse_three_lines(text: str, header: str, relation: str, token_kind: str):
+    """The grammar both file kinds share: line 1 the header, line 2
+    'elements: ...', optional line 3 '<relation>: a<b ...'.  Returns the
+    element names and the (a, b) pairs."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "poset":
-        raise ParseError("expected header 'poset'", line=1)
+    if not lines or lines[0] != header:
+        raise ParseError(f"expected header '{header}'", line=1)
     if len(lines) < 2 or not lines[1].startswith("elements:"):
         raise ParseError("expected 'elements: ...'", line=2)
     elements = lines[1][len("elements:"):].split()
-    covers = []
+    pairs = []
     if len(lines) >= 3:
-        if not lines[2].startswith("covers:"):
-            raise ParseError("expected 'covers: ...'", line=3)
-        for token in lines[2][len("covers:"):].split():
+        key = f"{relation}:"
+        if not lines[2].startswith(key):
+            raise ParseError(f"expected '{key} ...'", line=3)
+        for token in lines[2][len(key):].split():
             if "<" not in token:
-                raise ParseError(f"malformed cover {token!r}", line=3)
-            lo, hi = token.split("<", 1)
-            covers.append((lo, hi))
-    return closure_from_covers(elements, covers)
+                raise ParseError(f"malformed {token_kind} {token!r}", line=3)
+            pairs.append(tuple(token.split("<", 1)))
+    return elements, pairs
+
+
+def parse_poset_file(text: str) -> FinPoset:
+    """Poset grammar: line 1 'poset', line 2 'elements: ...', line 3 'covers: ...'."""
+    return closure_from_covers(*_parse_three_lines(text, "poset", "covers", "cover"))
 
 
 def emit_poset_file(poset: FinPoset) -> str:
@@ -47,22 +54,7 @@ def emit_poset_file(poset: FinPoset) -> str:
 
 def parse_basis_file(text: str) -> idealcomp.AbstractBasis:
     """Basis grammar: line 1 'basis', line 2 'elements: ...', line 3 'rel: a<b ...'."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "basis":
-        raise ParseError("expected header 'basis'", line=1)
-    if len(lines) < 2 or not lines[1].startswith("elements:"):
-        raise ParseError("expected 'elements: ...'", line=2)
-    elements = lines[1][len("elements:"):].split()
-    pairs = []
-    if len(lines) >= 3:
-        if not lines[2].startswith("rel:"):
-            raise ParseError("expected 'rel: ...'", line=3)
-        for token in lines[2][len("rel:"):].split():
-            if "<" not in token:
-                raise ParseError(f"malformed pair {token!r}", line=3)
-            a, b = token.split("<", 1)
-            pairs.append((a, b))
-    return idealcomp.AbstractBasis.from_pairs(elements, pairs)
+    return idealcomp.AbstractBasis.from_pairs(*_parse_three_lines(text, "basis", "rel", "pair"))
 
 
 def emit_dot(poset: FinPoset) -> str:
@@ -288,14 +280,13 @@ def cmd_exp(args) -> int:
 
 
 def cmd_tower(args) -> int:
+    if args.stages < 0:
+        print("--stages must be 0 or more")
+        return 2
     if args.stages > 2 and not args.unsafe_stage_3:
         print("stage > 2 needs --unsafe-stage-3")
         return 2
-    if args.stages <= 2:
-        report = _bilimit.dinfty_demo() if args.stages == 2 else _tower_report(args.stages)
-    else:
-        _bilimit.scott_tower(args.stages, unsafe=True)
-        report = _tower_report(args.stages, unsafe=True)
+    report = _bilimit.dinfty_demo(args.stages, unsafe=args.unsafe_stage_3)
     lines = [
         "stage_sizes: " + " ".join(str(s) for s in report["stage_sizes"]),
         "basis_sizes: " + " ".join(str(s) for s in report["basis_sizes"]),
@@ -312,29 +303,6 @@ def cmd_tower(args) -> int:
             fh.write(text)
     sys.stdout.write(text)
     return 0 if ok else 1
-
-
-def _tower_report(n: int, *, unsafe: bool = False) -> dict:
-    tower = _bilimit.scott_tower(n, unsafe=unsafe)
-    bilim = _bilimit.finite_bilimit(tower)
-    base, base_basis = canonex.sierpinski()
-    bases = [base_basis]
-    for k in range(n):
-        below = tower.stages[k]
-        bases.append(expo.step_basis(below, bases[k], below, bases[k]))
-    binf = _bilimit.bilimit_basis(bilim, bases)
-    return {
-        "stage_sizes": [s.n for s in tower.stages],
-        "basis_sizes": [len(b.labels) for b in bases],
-        "bilimit_size": bilim.poset.n,
-        "bilimit_basis_size": len(binf.labels),
-        "laws": {
-            "ep_pairs": True,
-            "bilimit_small_compact_basis": waybelow.check_small_compact_basis(
-                bilim.poset, binf
-            ),
-        },
-    }
 
 
 def cmd_dyadic(args) -> int:

@@ -140,34 +140,25 @@ def _require_lattice(P: FinPoset):
         raise NotALattice("poset lacks a least element or binary joins")
 
 
-def _saturated_join_basis(expo: ExponentialPoset, generators):
-    """Close generator maps under finite joins; label each achievable join by
-    the saturated set of generator labels under it."""
-    _require_lattice(expo.target)
-    bottom_graph = tuple(expo.target.bottom for _ in range(expo.source.n))
-    achieved = {bottom_graph}
-    frontier = [bottom_graph]
-    gen_graphs = [g for _, g in generators]
+def _join_closure(bottom, generators, join, le):
+    """Close (label, value) generators under finite joins, starting at bottom.
+
+    Returns each achieved join, in sorted order, paired with the saturated set
+    of generator labels whose values lie below it.
+    """
+    achieved = {bottom}
+    frontier = [bottom]
+    values = [v for _, v in generators]
     while frontier:
-        g1 = frontier.pop()
-        for g2 in gen_graphs:
-            j = expo.join_graph(g1, g2)
+        v = frontier.pop()
+        for w in values:
+            j = join(v, w)
             if j not in achieved:
                 achieved.add(j)
                 frontier.append(j)
-    E = expo.target
-    labels = []
-    into = {}
-    for graph in sorted(achieved):
-        label = frozenset(
-            lab
-            for lab, g in generators
-            if all(E.leq[a, b] for a, b in zip(g, graph))
-        )
-        labels.append(label)
-        into[label] = expo.name_of(MonoMap(expo.source, expo.target, graph, check=False))
-    labels.sort(key=lambda l: expo.poset.index(into[l]))
-    return BasisMap(expo.poset, tuple(labels), into)
+    return [
+        (v, frozenset(label for label, g in generators if le(g, v))) for v in sorted(achieved)
+    ]
 
 
 def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> BasisMap:
@@ -179,7 +170,15 @@ def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> 
         for b in beta_d.labels
         for c in beta_e.labels
     ]
-    return _saturated_join_basis(expo, generators)
+    closure = _join_closure(
+        (E.bottom,) * D.n,
+        generators,
+        expo.join_graph,
+        lambda g, h: all(E.leq[a, b] for a, b in zip(g, h)),
+    )
+    # Maps are named in sorted graph order, so the closure is in canonical order.
+    into = {label: expo.poset.elements[expo._graph_index[g]] for g, label in closure}
+    return BasisMap(expo.poset, tuple(into), into)
 
 
 @dataclass(frozen=True)
@@ -202,26 +201,15 @@ class JoinClosedBasis:
 def close_basis_under_joins(P: FinPoset, beta: BasisMap) -> JoinClosedBasis:
     """Directify a basis on a lattice; the result is join-closed by design."""
     _require_lattice(P)
-    achieved = {P.bottom}
-    frontier = [P.bottom]
-    values = [P.index(beta.value(b)) for b in beta.labels]
-    while frontier:
-        v = frontier.pop()
-        for w in values:
-            j = int(P.lub_table[v, w])
-            if j not in achieved:
-                achieved.add(j)
-                frontier.append(j)
-    labels = []
-    into = {}
-    for v in sorted(achieved):
-        label = frozenset(b for b in beta.labels if P.leq[P.index(beta.value(b)), v])
-        labels.append(label)
-        into[label] = P.elements[v]
-    labels.sort(key=lambda l: P.index(into[l]))
-    basis = BasisMap(P, tuple(labels), into)
-    bot_label = next(l for l in labels if into[l] == P.elements[P.bottom])
-    return JoinClosedBasis(basis, bot_label)
+    closure = _join_closure(
+        P.bottom,
+        [(b, P.index(beta.value(b))) for b in beta.labels],
+        lambda v, w: int(P.lub_table[v, w]),
+        lambda u, v: P.leq[u, v],
+    )
+    into = {label: P.elements[v] for v, label in closure}
+    bot_label = next(label for v, label in closure if v == P.bottom)
+    return JoinClosedBasis(BasisMap(P, tuple(into), into), bot_label)
 
 
 def idl_supcomplete_check(P: FinPoset, closed: JoinClosedBasis) -> bool:

@@ -109,6 +109,16 @@ class FinPoset:
                 return i
         return None
 
+    def least_in(self, mask: int):
+        """Index of the least member of a subset mask, or None.
+
+        Applied to a mask of common upper bounds this is the least upper bound.
+        """
+        for u in _bits(mask):
+            if mask & ~self.above_int[u] == 0:
+                return u
+        return None
+
     @cached_property
     def lub_table(self):
         """n-by-n table of least-upper-bound indices, -1 where none exists."""
@@ -116,11 +126,9 @@ class FinPoset:
         table = np.full((n, n), -1, dtype=np.int64)
         for i in range(n):
             for j in range(n):
-                ubs = self.above_int[i] & self.above_int[j]
-                for u in _bits(ubs):
-                    if ubs & ~self.above_int[u] == 0:
-                        table[i, j] = u
-                        break
+                lub = self.least_in(self.above_int[i] & self.above_int[j])
+                if lub is not None:
+                    table[i, j] = lub
         table.setflags(write=False)
         return table
 
@@ -298,7 +306,7 @@ class MonoMap:
         )
 
     def __hash__(self):
-        return hash((id(self.source), id(self.target), self.graph))
+        return hash((self.source.n, self.target.n, self.graph))
 
     def __repr__(self):
         pairs = ", ".join(
@@ -347,12 +355,7 @@ def scott_continuity_of_graph(source, target, graph) -> bool:
                 ubs &= target.above_int[graph[i]]
             m >>= 1
             i += 1
-        lub = None
-        for u in _bits(ubs):
-            if ubs & (full ^ target.above_int[u]) == 0:
-                lub = u
-                break
-        if lub != graph[sup]:
+        if target.least_in(ubs) != graph[sup]:
             return False
     return True
 
@@ -375,14 +378,30 @@ class EpPair:
         return f"EpPair(embed={self.embed!r}, project={self.project!r})"
 
 
+def retract_failure(section: MonoMap, retraction: MonoMap):
+    """The first retract law that fails, or None when all hold.
+
+    The laws, in order: ``"endpoints"`` (the section's source is the
+    retraction's target and vice versa), ``"section"`` (retraction after
+    section is the identity) and ``"continuity"`` (of both halves).
+    """
+    if section.source != retraction.target or section.target != retraction.source:
+        return "endpoints"
+    if any(retraction.graph[section.graph[i]] != i for i in range(section.source.n)):
+        return "section"
+    if not (is_scott_continuous(section) and is_scott_continuous(retraction)):
+        return "continuity"
+    return None
+
+
 def validate_ep_pair(pair: EpPair) -> bool:
-    """Section law, deflation law and continuity of both halves."""
+    """The retract laws plus the deflation law: section after retraction is
+    below the identity."""
     e, p = pair.embed, pair.project
-    if e.source != p.target or e.target != p.source:
+    failure = retract_failure(e, p)
+    if failure == "endpoints":
         raise ShapeMismatch("embed/project endpoints do not align")
-    d, up = e.source, e.target
-    if any(p.graph[e.graph[i]] != i for i in range(d.n)):
+    if failure is not None:
         return False
-    if any(not up.leq[e.graph[p.graph[j]], j] for j in range(up.n)):
-        return False
-    return is_scott_continuous(e) and is_scott_continuous(p)
+    up = e.target
+    return all(up.leq[e.graph[p.graph[j]], j] for j in range(up.n))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcpolab.cli import (
     emit_dot,
@@ -13,8 +15,8 @@ from dcpolab.cli import (
     parse_basis_file,
     parse_poset_file,
 )
-from dcpolab.errors import CycleDetected, ParseError
-from dcpolab.finposet import validate_ep_pair
+from dcpolab.errors import CycleDetected, OrderTheoryError, ParseError
+from dcpolab.finposet import closure_from_covers, validate_ep_pair
 from dcpolab.idealcomp import validate_abstract_basis
 
 TWO_CHAIN = "poset\nelements: a b\ncovers: a<b\n"
@@ -51,6 +53,48 @@ def test_roundtrip_semantic_identity():
         again = parse_poset_file(emit_poset_file(poset))
         assert again.elements == poset.elements
         assert (again.leq == poset.leq).all()
+
+
+NAME = st.text(st.characters(categories=("L", "N"), max_codepoint=0x2FF), min_size=1, max_size=3)
+
+
+@st.composite
+def posets(draw):
+    names = draw(st.lists(NAME, unique=True, max_size=6))
+    n = len(names)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return closure_from_covers(names, [(names[i], names[j]) for (i, j), e in zip(pairs, edges) if e])
+
+
+@settings(deadline=None)
+@given(posets())
+def test_emit_parse_roundtrip_property(poset):
+    again = parse_poset_file(emit_poset_file(poset))
+    assert again.elements == poset.elements
+    assert (again.leq == poset.leq).all()
+
+
+GRAMMAR_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, elements, rel, body: f"{head}\nelements: {elements}\n{rel}: {body}",
+        st.sampled_from(["poset", "basis", "Poset", ""]),
+        st.text(st.sampled_from("ab <\n")),
+        st.sampled_from(["covers", "rel", "cover"]),
+        st.text(st.sampled_from("abc< \n")),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(GRAMMAR_TEXT)
+def test_grammar_fuzz_raises_only_order_theory_errors(text):
+    for parse in (parse_poset_file, parse_basis_file):
+        try:
+            parse(text)
+        except OrderTheoryError:
+            pass
 
 
 def test_parse_basis_file_and_counterexample():
@@ -180,6 +224,13 @@ def test_cmd_tower_report(tmp_path, capsys):
     assert "law_bilimit_small_compact_basis: pass" in text
     code, out = run(capsys, "tower", "--stages", "3")
     assert code == 2
+    code, out = run(capsys, "tower", "--stages", "-1")
+    assert code == 2 and "--stages" in out and "law_" not in out
+    for stages in ("0", "1"):
+        code, out = run(capsys, "tower", "--stages", stages)
+        laws = [line for line in out.splitlines() if line.startswith("law_")]
+        assert code == 0 and len(laws) == 5
+        assert all(line.endswith(": pass") for line in laws)
 
 
 def test_cmd_tower_unsafe_stage3_fails_honestly(capsys):

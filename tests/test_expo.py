@@ -190,6 +190,13 @@ def test_close_basis_join_law_on_lattices():
                 assert joined == expect
 
 
+def test_close_basis_bottom_label_when_bottom_is_not_first():
+    P = closure_from_covers(("top", "bot"), [("bot", "top")])
+    closed = close_basis_under_joins(P, BasisMap.identity(P))
+    assert closed.basis.value(closed.bot_label) == "bot"
+    assert closed.basis.image_names() == ("top", "bot")
+
+
 def test_idl_supcomplete_two_chain():
     poset, beta = sierpinski()
     assert idl_supcomplete_check(poset, close_basis_under_joins(poset, beta))

@@ -173,6 +173,17 @@ def test_validate_ep_pair_shape_mismatch(two_chain, diamond):
         )
 
 
+def test_equal_maps_over_equal_posets_hash_alike():
+    def build():
+        chain = closure_from_covers(("bot", "top"), [("bot", "top")])
+        return MonoMap.from_mapping(chain, chain, {"bot": "bot", "top": "top"})
+
+    m1, m2 = build(), build()
+    assert m1.source is not m2.source and m1 == m2
+    assert hash(m1) == hash(m2)
+    assert len({m1, m2}) == 1
+
+
 def test_mono_compose(two_chain, diamond):
     up = MonoMap.from_mapping(two_chain, diamond, {"bot": "bot", "top": "top"})
     down = MonoMap.from_mapping(diamond, two_chain, {"bot": "bot", "a": "bot", "b": "bot", "top": "top"})

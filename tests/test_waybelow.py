@@ -8,9 +8,9 @@ from conftest import naive_way_below
 
 from dcpolab.canonex import lifting, powerset, sierpinski
 from dcpolab.cli import generate_ep_corpus
-from dcpolab.errors import NotABasis, NotDirected, PreconditionViolated
+from dcpolab.errors import NotABasis, NotARetract, NotDirected, PreconditionViolated
 from dcpolab.expo import enumerate_monotone_maps
-from dcpolab.finposet import MonoMap, closure_from_covers
+from dcpolab.finposet import EpPair, MonoMap, closure_from_covers, validate_ep_pair
 from dcpolab.waybelow import (
     BasisMap,
     ContinuityData,
@@ -313,6 +313,39 @@ def test_retract_way_below_transfer(two_chain, diamond):
     assert retract_way_below_transfer_check(section, retraction)
     for pair in generate_ep_corpus(13, 20, 5):
         assert retract_way_below_transfer_check(pair.embed, pair.project)
+
+
+def test_transfer_rejects_misaligned_endpoints(two_chain, diamond):
+    section, _ = _diamond_retract(diamond, two_chain)
+    with pytest.raises(NotARetract):
+        transfer_basis_along_retract(
+            section, MonoMap.identity(two_chain), BasisMap.identity(diamond)
+        )
+
+
+def test_transfer_rejects_retraction_that_does_not_undo_section(two_chain, diamond):
+    section, _ = _diamond_retract(diamond, two_chain)
+    to_bot = MonoMap.from_mapping(diamond, two_chain, {x: "bot" for x in diamond.elements})
+    with pytest.raises(NotARetract):
+        transfer_basis_along_retract(section, to_bot, BasisMap.identity(diamond))
+
+
+def test_transfer_rejects_non_monotone_half(two_chain):
+    antichain = closure_from_covers(("a", "b"), [])
+    section = MonoMap.from_mapping(antichain, two_chain, {"a": "bot", "b": "top"})
+    # undoes the section, but sends bot <= top to the incomparable a, b
+    retraction = MonoMap(two_chain, antichain, (0, 1), check=False)
+    with pytest.raises(NotARetract):
+        transfer_basis_along_retract(section, retraction, BasisMap.identity(two_chain))
+
+
+def test_transfer_needs_retract_laws_not_deflation(two_chain):
+    point = closure_from_covers(("p",), [])
+    section = MonoMap.from_mapping(point, two_chain, {"p": "top"})
+    retraction = MonoMap.from_mapping(two_chain, point, {"bot": "p", "top": "p"})
+    assert not validate_ep_pair(EpPair(embed=section, project=retraction))
+    out = transfer_basis_along_retract(section, retraction, BasisMap.identity(two_chain))
+    assert out.image_names() == ("p", "p")
 
 
 def test_exponential_locally_small_equal_maps(two_chain):
