@@ -18,7 +18,8 @@ from itertools import product
 
 from .canonex import sierpinski
 from .errors import IncompatibleTower, NotABasis, NotApproximating, StageTooLarge
-from .finposet import EpPair, FinPoset, MonoMap, mono_compose, validate_ep_pair
+from .finposet import EpPair, FinPoset, MonoMap, componentwise_leq, is_order_isomorphism
+from .finposet import mono_compose, validate_ep_pair
 from .indcomp import DirectedFamily
 from .waybelow import (
     BasisMap,
@@ -77,31 +78,14 @@ def scott_tower(n: int, *, unsafe: bool = False) -> Tower:
         below = stages[-1]
         expo = exponential(below, below)
         if prev_pair is None:
-            embed = MonoMap(
-                base,
-                expo.poset,
-                [
-                    expo.poset.index(expo.name_of(MonoMap(base, base, [x] * base.n, check=False)))
-                    for x in range(base.n)
-                ],
-            )
-            project = MonoMap(
-                expo.poset,
-                base,
-                [m.graph[base.bottom] for m in expo.maps],
-            )
+            embed = MonoMap(base, expo.poset, [expo.index_of((x,) * base.n) for x in range(base.n)])
+            project = MonoMap(expo.poset, base, [m.graph[base.bottom] for m in expo.maps])
         else:
-            below_expo = prev_expo
-            embed_graph = []
-            project_graph = []
-            for f in below_expo.maps:
-                conj = mono_compose(prev_pair.embed, mono_compose(f, prev_pair.project))
-                embed_graph.append(expo.poset.index(expo.name_of(conj)))
-            for g in expo.maps:
-                conj = mono_compose(prev_pair.project, mono_compose(g, prev_pair.embed))
-                project_graph.append(below_expo.poset.index(below_expo.name_of(conj)))
-            embed = MonoMap(below_expo.poset, expo.poset, embed_graph)
-            project = MonoMap(expo.poset, below_expo.poset, project_graph)
+            e, p = prev_pair.embed, prev_pair.project
+            up = [expo.index_of(mono_compose(e, mono_compose(f, p)).graph) for f in prev_expo.maps]
+            down = [prev_expo.index_of(mono_compose(p, mono_compose(g, e)).graph) for g in expo.maps]
+            embed = MonoMap(prev_expo.poset, expo.poset, up)
+            project = MonoMap(expo.poset, prev_expo.poset, down)
         pair = EpPair(embed=embed, project=project)
         stages.append(expo.poset)
         pairs.append(pair)
@@ -138,40 +122,26 @@ class Bilimit:
 def finite_bilimit(tower: Tower) -> Bilimit:
     """Materialise the compatible tuples and verify the top-stage isomorphism."""
     stages = tower.stages
-    top_index = len(stages) - 1
-    projections = [tower.project_between(top_index, i) for i in range(len(stages))]
-    tuples = []
-    for x in stages[-1].elements:
-        tuples.append(tuple(projections[i].apply(x) for i in range(len(stages))))
-    expected = set(tuples)
-    proj = {
-        (j, i): tower.project_between(j, i)
-        for i in range(len(stages))
-        for j in range(i, len(stages))
-    }
-    for combo in product(*(s.elements for s in stages)):
-        compatible = all(
-            proj[j, i].apply(combo[j]) == combo[i]
-            for i in range(len(stages))
-            for j in range(i, len(stages))
-        )
+    k = len(stages)
+    proj = {(j, i): tower.project_between(j, i).graph for i in range(k) for j in range(i, k)}
+    rows = [tuple(proj[k - 1, i][x] for i in range(k)) for x in range(tower.top.n)]
+    expected = set(rows)
+
+    def names_of(row):
+        return tuple(stages[i].elements[x] for i, x in enumerate(row))
+
+    for combo in product(*(range(s.n) for s in stages)):
+        compatible = all(proj[j, i][combo[j]] == combo[i] for i in range(k) for j in range(i, k))
         if compatible != (combo in expected):
-            raise IncompatibleTower(f"compatible tuples are not exactly the top stage: {combo}")
-    names = tuple(";".join(t) for t in tuples)
-    leq = [
-        [
-            all(stages[i].le(a[i], b[i]) for i in range(len(stages)))
-            for b in tuples
-        ]
-        for a in tuples
-    ]
-    poset = FinPoset(names, leq)
-    iso = MonoMap(stages[-1], poset, range(stages[-1].n))
-    for i in range(stages[-1].n):
-        for j in range(stages[-1].n):
-            if bool(stages[-1].leq[i, j]) != bool(poset.leq[iso.graph[i], iso.graph[j]]):
-                raise IncompatibleTower("tuple order disagrees with the top stage")
-    return Bilimit(tower, poset, tuple(tuples), iso)
+            raise IncompatibleTower(
+                f"compatible tuples are not exactly the top stage: {names_of(combo)}"
+            )
+    tuples = tuple(names_of(row) for row in rows)
+    poset = FinPoset(tuple(";".join(t) for t in tuples), componentwise_leq(stages, rows))
+    iso = MonoMap(tower.top, poset, range(tower.top.n), check=False)
+    if not is_order_isomorphism(iso):
+        raise IncompatibleTower("tuple order disagrees with the top stage")
+    return Bilimit(tower, poset, tuples, iso)
 
 
 def alpha_infinity(bilim: Bilimit, families, sigma) -> DirectedFamily:
@@ -246,16 +216,7 @@ def dinfty_demo(stages: int = 2, *, unsafe: bool = False) -> dict:
         "embeddings_transfer_way_below": all(
             embedding_preserves_way_below_check(tower, i, j) for i in indices for j in indices[i:]
         ),
-        "bilimit_iso_top_stage": bilim.poset.n == tower.top.n
-        and all(
-            bool(tower.top.leq[i, j])
-            == bilim.poset.le(
-                bilim.iso_from_top.apply(tower.top.elements[i]),
-                bilim.iso_from_top.apply(tower.top.elements[j]),
-            )
-            for i in range(tower.top.n)
-            for j in range(tower.top.n)
-        ),
+        "bilimit_iso_top_stage": is_order_isomorphism(bilim.iso_from_top),
         "stage_bases_compact": all(
             check_small_compact_basis(tower.stages[i], bases[i]) for i in indices
         ),

@@ -13,7 +13,7 @@ import sys
 
 from . import bilimit as _bilimit
 from . import canonex, dyadics, expo, idealcomp, indcomp, waybelow
-from .errors import OrderTheoryError, ParseError
+from .errors import CycleDetected, DuplicateElement, OrderTheoryError, ParseError, UnknownElement
 from .finposet import EpPair, FinPoset, MonoMap, closure_from_covers, subposet
 from .waybelow import BasisMap
 
@@ -22,8 +22,9 @@ from .waybelow import BasisMap
 
 def _parse_three_lines(text: str, header: str, relation: str, token_kind: str):
     """The grammar both file kinds share: line 1 the header, line 2
-    'elements: ...', optional line 3 '<relation>: a<b ...'.  Returns the
-    element names and the (a, b) pairs."""
+    'elements: ...', optional line 3 '<relation>: a<b ...', and nothing after.
+    Blank lines are skipped and not counted.  Returns the element names and
+    the (a, b) pairs."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != header:
         raise ParseError(f"expected header '{header}'", line=1)
@@ -31,7 +32,9 @@ def _parse_three_lines(text: str, header: str, relation: str, token_kind: str):
         raise ParseError("expected 'elements: ...'", line=2)
     elements = lines[1][len("elements:"):].split()
     pairs = []
-    if len(lines) >= 3:
+    if len(lines) > 3:
+        raise ParseError("unexpected line after the relation", line=4)
+    if len(lines) == 3:
         key = f"{relation}:"
         if not lines[2].startswith(key):
             raise ParseError(f"expected '{key} ...'", line=3)
@@ -171,12 +174,21 @@ def generate_basis_corpus(seed: int, count: int, max_carrier: int):
 
 # ---------------------------------------------------------------- verbs
 
-def _read(path: str) -> str:
+def _read(path: str, parse):
+    """Parse a file; an unreadable or malformed file is a parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc)) from exc
+    try:
+        return parse(text)
+    except (CycleDetected, DuplicateElement, UnknownElement) as exc:
+        raise ParseError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _read_poset(path: str) -> FinPoset:
+    return _read(path, parse_poset_file)
 
 
 def _bool_exit(value: bool, true_msg="true", false_msg="false") -> int:
@@ -199,24 +211,24 @@ def _basis_from_args(poset: FinPoset, pairs) -> BasisMap:
 
 
 def cmd_check(args) -> int:
-    parse_poset_file(_read(args.file))
+    _read_poset(args.file)
     print("valid")
     return 0
 
 
 def cmd_waybelow(args) -> int:
-    poset = parse_poset_file(_read(args.file))
+    poset = _read_poset(args.file)
     return _bool_exit(waybelow.way_below(poset, args.x, args.y))
 
 
 def cmd_compacts(args) -> int:
-    poset = parse_poset_file(_read(args.file))
+    poset = _read_poset(args.file)
     print(" ".join(waybelow.compacts(poset)))
     return 0
 
 
 def cmd_basis_check(args) -> int:
-    poset = parse_poset_file(_read(args.file))
+    poset = _read_poset(args.file)
     basis = _basis_from_args(poset, args.pairs)
     small = waybelow.check_small_basis(poset, basis)
     compact = small and waybelow.check_small_compact_basis(poset, basis)
@@ -226,7 +238,7 @@ def cmd_basis_check(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    poset = parse_poset_file(_read(args.file))
+    poset = _read_poset(args.file)
     basis = _basis_from_args(poset, args.pairs)
     if args.z is None:
         b = waybelow.interpolate_unary(poset, basis, args.x, args.y)
@@ -237,7 +249,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_idl(args) -> int:
-    basis = parse_basis_file(_read(args.file))
+    basis = _read(args.file, parse_basis_file)
     ok, witness = idealcomp.validate_abstract_basis(basis)
     if not ok:
         print(f"not an abstract basis: {' '.join(map(str, witness))}")
@@ -250,7 +262,7 @@ def cmd_idl(args) -> int:
 
 
 def cmd_idl_iso(args) -> int:
-    poset = parse_poset_file(_read(args.file))
+    poset = _read_poset(args.file)
     basis = _basis_from_args(poset, args.pairs)
     continuous = idealcomp.idl_iso_continuous_check(poset, basis)
     algebraic = idealcomp.idl_iso_algebraic_check(poset, basis)
@@ -260,8 +272,8 @@ def cmd_idl_iso(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    D = parse_poset_file(_read(args.d_file))
-    E = parse_poset_file(_read(args.e_file))
+    D = _read_poset(args.d_file)
+    E = _read_poset(args.e_file)
     ex = expo.exponential(D, E)
     sys.stdout.write(emit_poset_file(ex.poset))
     for name, m in zip(ex.poset.elements, ex.maps):
@@ -356,7 +368,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_ind_reflect(args) -> int:
-    poset = parse_poset_file(_read(args.file))
+    poset = _read_poset(args.file)
     families = indcomp.all_directed_subset_families(poset)
     quotient, classes = indcomp.poset_reflection(poset, families)
     sys.stdout.write(emit_poset_file(quotient))

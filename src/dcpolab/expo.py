@@ -19,9 +19,10 @@ largest of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotALattice, PreconditionViolated, TooLarge
-from .finposet import FinPoset, MonoMap, mono_compose
+from .finposet import FinPoset, MonoMap, componentwise_leq, mono_compose
 from .idealcomp import basis_from_order, idl_ep_pair, idl_poset
 from .waybelow import BasisMap, check_small_basis, is_compact
 
@@ -76,19 +77,19 @@ class ExponentialPoset:
     maps: tuple
     poset: FinPoset
 
+    def index_of(self, graph) -> int:
+        """Index in ``poset`` of the map with this graph."""
+        return self._graph_index[tuple(graph)]
+
     def name_of(self, m: MonoMap) -> str:
-        return self.poset.elements[self._graph_index[m.graph]]
+        return self.poset.elements[self.index_of(m.graph)]
 
     def map_of(self, name) -> MonoMap:
         return self.maps[self.poset.index(name)]
 
-    @property
+    @cached_property
     def _graph_index(self):
-        cache = self.__dict__.get("_graph_index_cache")
-        if cache is None:
-            cache = {m.graph: i for i, m in enumerate(self.maps)}
-            self.__dict__["_graph_index_cache"] = cache
-        return cache
+        return {m.graph: i for i, m in enumerate(self.maps)}
 
     def join_graph(self, g1, g2):
         lub = self.target.lub_table
@@ -101,9 +102,7 @@ def exponential(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) -> Exp
         raise TooLarge(f"exponential carrier of {len(maps)} maps exceeds the budget")
     width = len(str(max(len(maps) - 1, 0)))
     names = tuple(f"f{i:0{width}d}" for i in range(len(maps)))
-    leq = [
-        [all(E.leq[a.graph[x], b.graph[x]] for x in range(D.n)) for b in maps] for a in maps
-    ]
+    leq = componentwise_leq([E] * D.n, [m.graph for m in maps])
     return ExponentialPoset(D, E, tuple(maps), FinPoset(names, leq))
 
 
@@ -119,7 +118,7 @@ def step_function(D: FinPoset, E: FinPoset, d, e) -> MonoMap:
 def step_function_above_check(D, E, d, e, expo: ExponentialPoset) -> bool:
     """A map lies above the step at (d, e) exactly when its value at d does."""
     step = step_function(D, E, d, e)
-    si = expo.poset.index(expo.name_of(step))
+    si = expo.index_of(step.graph)
     ei = E.index(e)
     for i, f in enumerate(expo.maps):
         if bool(expo.poset.leq[si, i]) != bool(E.leq[ei, f.graph[D.index(d)]]):
@@ -174,10 +173,10 @@ def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> 
         (E.bottom,) * D.n,
         generators,
         expo.join_graph,
-        lambda g, h: all(E.leq[a, b] for a, b in zip(g, h)),
+        lambda g, h: expo.poset.leq[expo.index_of(g), expo.index_of(h)],
     )
     # Maps are named in sorted graph order, so the closure is in canonical order.
-    into = {label: expo.poset.elements[expo._graph_index[g]] for g, label in closure}
+    into = {label: expo.poset.elements[expo.index_of(g)] for g, label in closure}
     return BasisMap(expo.poset, tuple(into), into)
 
 
@@ -230,8 +229,8 @@ def idl_supcomplete_check(P: FinPoset, closed: JoinClosedBasis) -> bool:
     )
     if completion.name_of(bot_ideal) != pos.elements[pos.bottom]:
         return False
-    for I in completion.ideals:
-        for J in completion.ideals:
+    for i, I in enumerate(completion.ideals):
+        for j, J in enumerate(completion.ideals):
             K = frozenset(
                 b
                 for b in beta.labels
@@ -241,9 +240,7 @@ def idl_supcomplete_check(P: FinPoset, closed: JoinClosedBasis) -> bool:
                     for d in J
                 )
             )
-            lub = pos.elements[int(pos.lub_table[pos.index(completion.name_of(I)),
-                                                 pos.index(completion.name_of(J))])]
-            if completion.name_of(K) != lub:
+            if completion.name_of(K) != pos.elements[int(pos.lub_table[i, j])]:
                 return False
     return True
 

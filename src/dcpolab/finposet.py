@@ -222,6 +222,20 @@ def closure_from_covers(elements, covers) -> FinPoset:
     return FinPoset(elements, mat)
 
 
+def componentwise_leq(coords, rows):
+    """The order on rows of element indices, coordinate by coordinate.
+
+    Row a is below row b when ``coords[c].leq[a[c], b[c]]`` holds for every
+    coordinate c; with no coordinates every pair of rows is related.
+    """
+    rows = np.asarray(rows, dtype=np.intp).reshape(len(rows), len(coords))
+    out = np.ones((len(rows), len(rows)), dtype=bool)
+    for c, poset in enumerate(coords):
+        col = rows[:, c]
+        out &= poset.leq[np.ix_(col, col)]
+    return out
+
+
 def subposet(poset: FinPoset, names) -> FinPoset:
     """The induced sub-poset on the given elements (canonical order kept)."""
     keep = [poset.index(x) for x in names]
@@ -291,12 +305,6 @@ class MonoMap:
     def apply(self, name):
         return self.target.elements[self.graph[self.source.index(name)]]
 
-    def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            out |= 1 << self.graph[i]
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, MonoMap)
@@ -315,14 +323,23 @@ class MonoMap:
         return f"MonoMap({pairs})"
 
 
+def _pulled_back(target: FinPoset, graph):
+    """The target order read along a graph: entry (i, j) is graph[i] <= graph[j]."""
+    g = np.asarray(graph, dtype=np.intp)
+    return target.leq[np.ix_(g, g)]
+
+
 def _graph_is_monotone(source, target, graph) -> bool:
-    n = source.n
-    for i in range(n):
-        row = source.leq[i]
-        for j in range(n):
-            if row[j] and not target.leq[graph[i], graph[j]]:
-                return False
-    return True
+    return not (source.leq & ~_pulled_back(target, graph)).any()
+
+
+def is_order_isomorphism(f: MonoMap) -> bool:
+    """Bijective, and x <= y exactly when f(x) <= f(y)."""
+    return (
+        f.source.n == f.target.n
+        and len(set(f.graph)) == f.target.n
+        and bool((f.source.leq == _pulled_back(f.target, f.graph)).all())
+    )
 
 
 def mono_compose(outer: MonoMap, inner: MonoMap) -> MonoMap:

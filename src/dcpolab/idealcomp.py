@@ -15,14 +15,25 @@ import numpy as np
 
 from .errors import (
     CarrierTooLarge,
+    DuplicateElement,
     NoJoins,
     NotABasis,
     NotMonotone,
     TooLarge,
     UnknownElement,
 )
-from .finposet import FinPoset, MonoMap, _bits, directed_sup, is_scott_continuous
-from .waybelow import BasisMap, check_small_basis, way_below
+from .finposet import (
+    SUBSET_ENUM_LIMIT,
+    EpPair,
+    FinPoset,
+    MonoMap,
+    _bits,
+    directed_sup,
+    is_order_isomorphism,
+    is_scott_continuous,
+    validate_ep_pair,
+)
+from .waybelow import BasisMap, check_small_basis, check_small_compact_basis, is_compact, way_below
 
 ENUMERATION_CARRIER_LIMIT = 12
 
@@ -45,6 +56,8 @@ class AbstractBasis:
     @classmethod
     def from_pairs(cls, carrier, pairs) -> "AbstractBasis":
         carrier = tuple(carrier)
+        if len(set(carrier)) != len(carrier):
+            raise DuplicateElement(f"duplicate element among {carrier}")
         index = {c: i for i, c in enumerate(carrier)}
         mat = np.zeros((len(carrier), len(carrier)), dtype=bool)
         for a, b in pairs:
@@ -185,8 +198,9 @@ class IdealCompletion:
 def idl_poset(basis: AbstractBasis) -> IdealCompletion:
     """The ideals ordered by inclusion, as a finite poset.
 
-    Construction re-verifies that directed unions of ideals are ideals and
-    that every ideal is rounded.
+    Construction re-verifies that every ideal is rounded and, when there are
+    at most ``SUBSET_ENUM_LIMIT`` ideals, that directed unions of ideals are
+    ideals; past that many ideals the union check is skipped.
     """
     ideals = enumerate_ideals(basis)
     names = [ideal_name(basis, ideal) for ideal in ideals]
@@ -195,7 +209,7 @@ def idl_poset(basis: AbstractBasis) -> IdealCompletion:
     for ideal in ideals:
         if not ideal_is_rounded(basis, ideal):
             raise NotABasis(f"ideal {ideal} is not rounded")
-    if len(ideals) <= 16:
+    if len(ideals) <= SUBSET_ENUM_LIMIT:
         dmasks, _ = poset.directed_table
         for mask in dmasks.tolist():
             union = frozenset().union(*(ideals[i] for i in _bits(mask)))
@@ -212,8 +226,6 @@ def idl_way_below(basis: AbstractBasis, i_ideal, j_ideal) -> bool:
 
 def idl_basis_check(basis: AbstractBasis) -> bool:
     """Principal ideals form a small basis; a compact one when reflexive."""
-    from .waybelow import check_small_compact_basis, is_compact
-
     completion = idl_poset(basis)
     beta = completion.principal_basis()
     if not check_small_basis(completion.poset, beta):
@@ -278,8 +290,8 @@ def directify(poset: FinPoset, fam) -> "DirectedFamily":
         if value not in seen:
             seen.add(value)
             deduped.append((label, value))
-    if len(deduped) > 16:
-        raise TooLarge("directification over more than 2^16 subsets")
+    if len(deduped) > SUBSET_ENUM_LIMIT:
+        raise TooLarge(f"directification over more than 2^{SUBSET_ENUM_LIMIT} subsets")
     labels = []
     mapping = {}
     for mask in range(1 << len(deduped)):
@@ -327,8 +339,6 @@ def way_fiber_ideal(poset: FinPoset, beta: BasisMap, x) -> frozenset:
 
 def idl_ep_pair(poset: FinPoset, beta: BasisMap, *, use_way_below):
     """The fiber map into the completion and the supremum map back."""
-    from .finposet import EpPair
-
     ab = _basis_from_relation(poset, beta, use_way_below=use_way_below)
     completion = idl_poset(ab)
     graph = []
@@ -347,31 +357,16 @@ def idl_iso_continuous_check(poset: FinPoset, beta: BasisMap) -> bool:
     """The fiber map onto the way-below completion is an order-isomorphism."""
     pair, completion = idl_ep_pair(poset, beta, use_way_below=True)
     s, r = pair.embed, pair.project
-    if sorted(s.graph) != list(range(completion.poset.n)):
-        return False
-    if any(r.graph[s.graph[i]] != i for i in range(poset.n)):
-        return False
-    if any(s.graph[r.graph[j]] != j for j in range(completion.poset.n)):
-        return False
-    for i in range(poset.n):
-        for j in range(poset.n):
-            if bool(poset.leq[i, j]) != bool(completion.poset.leq[s.graph[i], s.graph[j]]):
-                return False
-    return True
+    return (
+        is_order_isomorphism(s)
+        and all(r.graph[s.graph[i]] == i for i in range(poset.n))
+        and all(s.graph[r.graph[j]] == j for j in range(completion.poset.n))
+    )
 
 
 def idl_iso_algebraic_check(poset: FinPoset, beta: BasisMap) -> bool:
     """The fiber map into the order completion embeds; iso for compact bases."""
-    from .finposet import validate_ep_pair
-    from .waybelow import check_small_compact_basis
-
-    pair, completion = idl_ep_pair(poset, beta, use_way_below=False)
+    pair, _ = idl_ep_pair(poset, beta, use_way_below=False)
     if not validate_ep_pair(pair):
         return False
-    if check_small_compact_basis(poset, beta):
-        s, r = pair.embed, pair.project
-        if sorted(s.graph) != list(range(completion.poset.n)):
-            return False
-        if any(s.graph[r.graph[j]] != j for j in range(completion.poset.n)):
-            return False
-    return True
+    return not check_small_compact_basis(poset, beta) or is_order_isomorphism(pair.embed)

@@ -277,6 +277,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     f.write_text("nonsense\n")
     code, out = run(capsys, "check", str(f))
     assert code == 2 and "parse error" in out
+    for text in (
+        "poset\nelements: a b\ncovers: a<b b<a\n",
+        "poset\nelements: a a\ncovers:\n",
+        "poset\nelements: a\ncovers: a<zz\n",
+        "poset\nelements: a b\ncovers: a<b\njunk\n",
+    ):
+        f.write_text(text)
+        code, out = run(capsys, "check", str(f))
+        assert code == 2 and "parse error" in out
+    for text in ("basis\nelements: a a\nrel:\n", "basis\nelements: a\nrel: a<zz\n"):
+        f.write_text(text)
+        code, out = run(capsys, "idl", str(f))
+        assert code == 2 and "parse error" in out
+
+
+def test_parse_rejects_line_after_relation():
+    with pytest.raises(ParseError) as err:
+        parse_poset_file(TWO_CHAIN + "\nextra\n")
+    assert err.value.line == 4
+    with pytest.raises(ParseError) as err:
+        parse_basis_file("basis\nelements: a\nrel: a<a\nmore: stuff\n")
+    assert err.value.line == 4
+    assert parse_poset_file(TWO_CHAIN + "\n\n").n == 2
 
 
 def test_usage_error_exit_code():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from conftest import lub_oracle, naive_directed_subsets
@@ -20,8 +22,10 @@ from dcpolab.finposet import (
     FinPoset,
     MonoMap,
     closure_from_covers,
+    componentwise_leq,
     directed_sup,
     is_directed,
+    is_order_isomorphism,
     is_scott_continuous,
     mono_compose,
     scott_continuity_of_graph,
@@ -222,3 +226,40 @@ def test_corpus_posets_validate():
     a = generate_corpus(42, 10, 6)
     b = generate_corpus(42, 10, 6)
     assert all(x == y for x, y in zip(a, b))
+
+
+def test_order_isomorphism_rejects_non_surjective_embedding(two_chain, diamond):
+    up = MonoMap.from_mapping(two_chain, diamond, {"bot": "bot", "top": "top"})
+    assert not is_order_isomorphism(up)
+
+
+def test_order_isomorphism_rejects_bijection_not_reflecting_order():
+    antichain = closure_from_covers(("x", "y"), [])
+    chain = closure_from_covers(("lo", "hi"), [("lo", "hi")])
+    f = MonoMap.from_mapping(antichain, chain, {"x": "lo", "y": "hi"})
+    assert len(set(f.graph)) == chain.n
+    assert not is_order_isomorphism(f)
+
+
+def test_order_isomorphism_between_separately_built_equal_posets(diamond):
+    again = closure_from_covers(diamond.elements, diamond.covers())
+    assert again is not diamond
+    assert is_order_isomorphism(MonoMap.from_mapping(diamond, again, {x: x for x in diamond.elements}))
+
+
+def test_componentwise_leq_matches_pointwise_oracle():
+    rng = random.Random(3)
+    coords = generate_corpus(5, 4, 5)
+    for m in (0, 1, 7):
+        rows = [tuple(rng.randrange(c.n) for c in coords) for _ in range(m)]
+        oracle = [
+            [all(c.le(c.elements[a[k]], c.elements[b[k]]) for k, c in enumerate(coords)) for b in rows]
+            for a in rows
+        ]
+        assert (componentwise_leq(coords, rows) == np.array(oracle, dtype=bool).reshape(m, m)).all()
+
+
+def test_componentwise_leq_without_coordinates():
+    assert componentwise_leq([], [()]).tolist() == [[True]]
+    assert componentwise_leq([], [(), ()]).tolist() == [[True, True], [True, True]]
+    assert componentwise_leq([], []).shape == (0, 0)
