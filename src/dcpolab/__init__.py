@@ -34,6 +34,7 @@ from .waybelow import (
     retract_way_below_transfer_check,
     transfer_basis_along_retract,
     way_below,
+    way_below_matrix,
 )
 
 __all__ = [
@@ -64,4 +65,5 @@ __all__ = [
     "transfer_basis_along_retract",
     "validate_ep_pair",
     "way_below",
+    "way_below_matrix",
 ]

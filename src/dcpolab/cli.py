@@ -196,6 +196,15 @@ def _bool_exit(value: bool, true_msg="true", false_msg="false") -> int:
     return 0 if value else 1
 
 
+def _require_elements(poset: FinPoset, names) -> None:
+    """Element names given on the command line; an unknown one is a parse error."""
+    for name in names:
+        try:
+            poset.index(name)
+        except UnknownElement as exc:
+            raise ParseError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _basis_from_args(poset: FinPoset, pairs) -> BasisMap:
     if not pairs:
         return BasisMap.identity(poset)
@@ -207,6 +216,7 @@ def _basis_from_args(poset: FinPoset, pairs) -> BasisMap:
         label, element = token.split("=", 1)
         labels.append(label)
         into[label] = element
+    _require_elements(poset, into.values())
     return BasisMap(poset, tuple(labels), into)
 
 
@@ -218,6 +228,7 @@ def cmd_check(args) -> int:
 
 def cmd_waybelow(args) -> int:
     poset = _read_poset(args.file)
+    _require_elements(poset, (args.x, args.y))
     return _bool_exit(waybelow.way_below(poset, args.x, args.y))
 
 
@@ -240,6 +251,7 @@ def cmd_basis_check(args) -> int:
 def cmd_interpolate(args) -> int:
     poset = _read_poset(args.file)
     basis = _basis_from_args(poset, args.pairs)
+    _require_elements(poset, (a for a in (args.x, args.y, args.z) if a is not None))
     if args.z is None:
         b = waybelow.interpolate_unary(poset, basis, args.x, args.y)
     else:

@@ -148,21 +148,30 @@ class FinPoset:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         if n > SUBSET_ENUM_LIMIT:
             raise TooLarge(f"2^{n} subsets exceeds the enumeration budget")
-        masks = np.arange(1, 1 << n, dtype=np.int64)
-        ok = np.ones(masks.shape, dtype=bool)
+        # A mask fails on a pair of members i, j when it holds both and none of
+        # their common upper bounds.  The larger of two comparable members
+        # bounds both, so only incomparable pairs are tested, and for those
+        # neither i nor j is a common upper bound: the mask fails exactly when
+        # its bits among ``pair | ub`` are ``pair``.  Masks that fail are
+        # dropped after each i, keeping the survivors in ascending order.
+        dmasks = np.arange(1, 1 << n, dtype=np.int64)
         for i in range(n):
-            has_i = (masks & (1 << i)) != 0
+            ok = None
             for j in range(i + 1, n):
-                both = has_i & ((masks & (1 << j)) != 0)
+                if self.leq[i, j] or self.leq[j, i]:
+                    continue
+                pair = (1 << i) | (1 << j)
                 ub = self.above_int[i] & self.above_int[j]
-                ok &= ~(both & ((masks & ub) == 0))
-        dmasks = masks[ok]
+                bounded = (dmasks & (pair | ub)) != pair
+                ok = bounded if ok is None else ok & bounded
+            if ok is not None:
+                dmasks = dmasks[ok]
         sups = np.full(dmasks.shape, -1, dtype=np.int64)
         full = self.full_mask()
         for g in range(n):
-            outside = full ^ self.below_int[g]
-            is_g = ((dmasks & (1 << g)) != 0) & ((dmasks & outside) == 0)
-            sups[is_g] = g
+            # g is a member and every member is below g.
+            top_g = (full ^ self.below_int[g]) | (1 << g)
+            sups[(dmasks & top_g) == 1 << g] = g
         if (sups < 0).any():
             raise InvalidPoset("a directed subset without greatest element")
         dmasks.setflags(write=False)

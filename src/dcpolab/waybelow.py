@@ -6,6 +6,13 @@ which is a directed subset, so nothing is lost (see README, "finite
 semantics").  Up to ``SUBSET_ENUM_LIMIT`` elements the quantifier is run
 literally over all subsets; past that the greatest-element reduction is used,
 and the test suite cross-validates the two routes on the whole small corpus.
+
+Each route decides the whole relation at once, the first time a poset is
+asked, and caches the read-only matrix on the poset; every query reads it.
+The enumerated route groups every directed subset by its supremum: x is way
+below y unless some directed subset whose supremum is above y misses the
+up-set of x.  The reduced route is one boolean product: x is way below y when
+every g above y is above x.
 """
 
 from __future__ import annotations
@@ -31,26 +38,60 @@ from .finposet import (
 )
 
 
+def _enumerated_relation(poset: FinPoset):
+    """Way-below over every directed subset, grouped by supremum.
+
+    ``miss[x, s]`` says that some directed subset with supremum s misses the
+    up-set of x; x is then not way below any y <= s.
+    """
+    n = poset.n
+    dmasks, sups = poset.directed_table
+    miss = np.zeros((n, n), dtype=bool)
+    for x in range(n):
+        missed = sups[(dmasks & poset.above_int[x]) == 0]
+        miss[x] = np.bincount(missed, minlength=n) > 0
+    return ~(miss @ poset.leq.T)
+
+
+def _reduced_relation(poset: FinPoset):
+    """Every finite directed subset contains its supremum, so a counterexample
+    can always be shrunk to a single element g with y <= g and not x <= g."""
+    return ~(~poset.leq @ poset.leq.T)
+
+
+def _cached_relation(poset: FinPoset, route):
+    """The read-only matrix of one route, computed once per poset."""
+    key = f"_way_below{route.__name__}"
+    mat = poset.__dict__.get(key)
+    if mat is None:
+        mat = route(poset)
+        mat.setflags(write=False)
+        poset.__dict__[key] = mat
+    return mat
+
+
+def way_below_matrix(poset: FinPoset):
+    """Entry (x, y) says x is way below y, by the route ``way_below`` takes."""
+    if poset.n <= SUBSET_ENUM_LIMIT:
+        return _cached_relation(poset, _enumerated_relation)
+    return _cached_relation(poset, _reduced_relation)
+
+
 def way_below_enumerated(poset: FinPoset, x, y) -> bool:
     """x way below y, checked over every directed subset of the carrier."""
     xi, yi = poset.index(x), poset.index(y)
-    dmasks, sups = poset.directed_table
-    relevant = poset.leq[yi][sups]
-    hit = (dmasks & poset.above_int[xi]) != 0
-    return bool(np.all(hit | ~relevant))
+    return bool(_cached_relation(poset, _enumerated_relation)[xi, yi])
+
 
 def way_below_reduced(poset: FinPoset, x, y) -> bool:
-    """Fast route: every finite directed subset contains its supremum, so a
-    counterexample can always be shrunk to a single element g with y <= g and
-    not x <= g."""
+    """x way below y by the greatest-element reduction."""
     xi, yi = poset.index(x), poset.index(y)
-    return bool(np.all(poset.leq[xi][poset.leq[yi]]))
+    return bool(_cached_relation(poset, _reduced_relation)[xi, yi])
 
 
 def way_below(poset: FinPoset, x, y) -> bool:
-    if poset.n <= SUBSET_ENUM_LIMIT:
-        return way_below_enumerated(poset, x, y)
-    return way_below_reduced(poset, x, y)
+    xi, yi = poset.index(x), poset.index(y)
+    return bool(way_below_matrix(poset)[xi, yi])
 
 
 def is_compact(poset: FinPoset, x) -> bool:
@@ -65,7 +106,8 @@ def compacts(poset: FinPoset):
     the compact elements below it (the algebraicity law; at this scale every
     element is compact, so the check must always go through).
     """
-    out = tuple(x for x in poset.elements if is_compact(poset, x))
+    diagonal = way_below_matrix(poset).diagonal()
+    out = tuple(x for x, compact in zip(poset.elements, diagonal) if compact)
     compact_mask = poset.mask_of(out)
     for i, x in enumerate(poset.elements):
         below = compact_mask & poset.below_int[i]
@@ -148,7 +190,8 @@ class BasisMap:
 
     def way_fiber(self, x):
         """Labels whose value is way below x."""
-        return tuple(b for b in self.labels if way_below(self.poset, self.into[b], x))
+        below_x = way_below_matrix(self.poset)[:, self.poset.index(x)]
+        return tuple(_hit_labels(self.poset, self, below_x))
 
     def down_fiber(self, x):
         """Labels whose value is below x."""
@@ -197,24 +240,29 @@ def leq_via_basis(poset: FinPoset, basis: BasisMap, x, y) -> bool:
     )
 
 
+def _hit_labels(poset: FinPoset, basis: BasisMap, hits):
+    """Labels, in ``basis.labels`` order, whose value's index is set in hits."""
+    return (b for b in basis.labels if hits[poset.index(basis.value(b))])
+
+
 def interpolate_unary(poset: FinPoset, basis: BasisMap, x, y):
     """A basis label strictly between x and y in the way-below order."""
-    if not way_below(poset, x, y):
+    xi, yi = poset.index(x), poset.index(y)
+    wb = way_below_matrix(poset)
+    if not wb[xi, yi]:
         raise PreconditionViolated(f"{x} is not way below {y}")
-    for b in basis.labels:
-        v = basis.value(b)
-        if way_below(poset, x, v) and way_below(poset, v, y):
-            return b
+    for b in _hit_labels(poset, basis, wb[xi] & wb[:, yi]):
+        return b
     raise NoInterpolant(f"no basis interpolant between {x} and {y}")
 
 
 def interpolate_binary(poset: FinPoset, basis: BasisMap, x, y, z):
-    if not (way_below(poset, x, z) and way_below(poset, y, z)):
+    xi, yi, zi = poset.index(x), poset.index(y), poset.index(z)
+    wb = way_below_matrix(poset)
+    if not (wb[xi, zi] and wb[yi, zi]):
         raise PreconditionViolated(f"{x},{y} are not both way below {z}")
-    for b in basis.labels:
-        v = basis.value(b)
-        if way_below(poset, x, v) and way_below(poset, y, v) and way_below(poset, v, z):
-            return b
+    for b in _hit_labels(poset, basis, wb[xi] & wb[yi] & wb[:, zi]):
+        return b
     raise NoInterpolant(f"no basis interpolant for {x},{y} under {z}")
 
 

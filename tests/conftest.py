@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from dcpolab.cli import generate_corpus
 from dcpolab.finposet import closure_from_covers
@@ -38,14 +39,44 @@ def lub_oracle(poset, names):
     return None
 
 
-def naive_way_below(poset, x, y):
-    """The way-below definition, quantified with the naive subset enumerator."""
-    for sub in naive_directed_subsets(poset):
-        sup = lub_oracle(poset, sub)
+def naive_directed_sups(poset):
+    """Each naive directed subset paired with its least upper bound."""
+    return [(sub, lub_oracle(poset, sub)) for sub in naive_directed_subsets(poset)]
+
+
+def naive_way_below(poset, x, y, directed=None):
+    """The way-below definition, quantified with the naive subset enumerator.
+
+    ``directed`` may pass ``naive_directed_sups(poset)``, computed once for
+    many pairs.
+    """
+    for sub, sup in naive_directed_sups(poset) if directed is None else directed:
         if sup is not None and poset.le(y, sup):
             if not any(poset.le(x, s) for s in sub):
                 return False
     return True
+
+
+@st.composite
+def small_posets(draw):
+    """Random posets, chains and antichains of at most nine elements.
+
+    The element order is shuffled, so the canonical order need not be a
+    linear extension of the poset.
+    """
+    n = draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(["random", "chain", "antichain"]))
+    if shape == "chain":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "antichain":
+        edges = []
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+        picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [pair for pair, pick in zip(pairs, picks) if pick]
+    names = [f"e{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    return closure_from_covers(order, [(names[i], names[j]) for i, j in edges])
 
 
 @pytest.fixture(scope="session")

@@ -290,6 +290,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
         f.write_text(text)
         code, out = run(capsys, "idl", str(f))
         assert code == 2 and "parse error" in out
+    f.write_text(TWO_CHAIN)
+    for argv in (
+        ("waybelow", str(f), "a", "zz"),
+        ("waybelow", str(f), "zz", "b"),
+        ("interpolate", str(f), "a", "zz"),
+        ("interpolate", str(f), "a", "a", "zz"),
+        ("basis-check", str(f), "x=zz"),
+        ("idl-iso", str(f), "x=a", "y=zz"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2 and "parse error" in out and "'zz'" in out
 
 
 def test_parse_rejects_line_after_relation():

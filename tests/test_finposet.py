@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import lub_oracle, naive_directed_subsets
+from conftest import lub_oracle, naive_directed_subsets, small_posets
 
 from dcpolab.cli import generate_corpus
 from dcpolab.errors import (
@@ -112,6 +113,17 @@ def test_directed_table_agrees_with_naive(small_corpus):
         assert got == set(naive_directed_subsets(poset))
         for m, s in zip(dmasks.tolist(), sups.tolist()):
             assert lub_oracle(poset, poset.names_of(m)) == poset.elements[s]
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_posets())
+def test_directed_table_matches_naive_property(poset):
+    # Ascending masks, exactly the naive directed subsets, each with the
+    # oracle's least upper bound as its greatest member.
+    dmasks, sups = poset.directed_table
+    naive = sorted((poset.mask_of(sub), lub_oracle(poset, sub)) for sub in naive_directed_subsets(poset))
+    assert dmasks.tolist() == [m for m, _ in naive]
+    assert [poset.elements[s] for s in sups.tolist()] == [sup for _, sup in naive]
 
 
 def test_upper_bounds_mask(diamond):

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import naive_way_below
+from conftest import naive_directed_sups, naive_way_below, small_posets
 
 from dcpolab.canonex import lifting, powerset, sierpinski
 from dcpolab.cli import generate_ep_corpus
-from dcpolab.errors import NotABasis, NotARetract, NotDirected, PreconditionViolated
+from dcpolab.errors import NoInterpolant, NotABasis, NotARetract, NotDirected, PreconditionViolated
 from dcpolab.expo import enumerate_monotone_maps
 from dcpolab.finposet import EpPair, MonoMap, closure_from_covers, validate_ep_pair
 from dcpolab.waybelow import (
@@ -30,6 +33,7 @@ from dcpolab.waybelow import (
     transfer_basis_along_retract,
     way_below,
     way_below_enumerated,
+    way_below_matrix,
     way_below_reduced,
 )
 
@@ -55,6 +59,42 @@ def test_way_below_routes_agree(medium_corpus):
         for x in poset.elements:
             for y in poset.elements:
                 assert way_below_enumerated(poset, x, y) == way_below_reduced(poset, x, y)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_posets())
+def test_way_below_routes_match_naive_property(poset):
+    directed = naive_directed_sups(poset)
+    els = poset.elements
+    naive = [[naive_way_below(poset, x, y, directed) for y in els] for x in els]
+    enumerated = [[way_below_enumerated(poset, x, y) for y in els] for x in els]
+    reduced = [[way_below_reduced(poset, x, y) for y in els] for x in els]
+    assert enumerated == naive
+    assert reduced == naive
+    assert way_below_matrix(poset).tolist() == naive
+
+
+def test_way_below_matrix_is_read_only():
+    chain17 = closure_from_covers([f"c{i}" for i in range(17)], [(f"c{i}", f"c{i + 1}") for i in range(16)])
+    for poset in (closure_from_covers(("a", "b"), [("a", "b")]), chain17):
+        with pytest.raises(ValueError):
+            way_below_matrix(poset)[0, 0] = False
+        assert way_below_matrix(poset) is way_below_matrix(poset)
+    small = closure_from_covers(("a", "b"), [("a", "b")])
+    for table in (small.directed_table[0], small.directed_table[1], small.lub_table):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_way_below_matrix_equal_for_separately_built_equal_posets():
+    covers = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+    for n in (4, 18):
+        extra = [f"c{i}" for i in range(n - 4)]
+        chain = list(zip(["top"] + extra, extra))
+        first = closure_from_covers(("bot", "a", "b", "top", *extra), covers + chain)
+        second = closure_from_covers(("bot", "a", "b", "top", *extra), covers + chain)
+        assert first == second
+        assert np.array_equal(way_below_matrix(first), way_below_matrix(second))
 
 
 def test_way_below_implies_below(medium_corpus):
@@ -248,6 +288,71 @@ def test_interpolate_unary_postcondition_on_corpus(small_corpus):
                     b = interpolate_unary(poset, beta, x, y)
                     assert way_below(poset, x, beta.value(b))
                     assert way_below(poset, beta.value(b), y)
+
+
+def _shuffled_basis(poset, seed):
+    """Labels whose values are out of canonical order, one value repeated and
+    (for some seeds) one element left out."""
+    rng = random.Random(seed)
+    values = rng.sample(poset.elements, poset.n - seed % 2) + [rng.choice(poset.elements)]
+    rng.shuffle(values)
+    labels = tuple(f"L{k}" for k in range(len(values)))
+    return BasisMap(poset, labels, dict(zip(labels, values)))
+
+
+def _scan(poset, basis, lows, high):
+    """The first label, in labels order, strictly between lows and high, read
+    pair by pair off the reduced route."""
+    for b in basis.labels:
+        v = basis.value(b)
+        if all(way_below_reduced(poset, x, v) for x in lows) and way_below_reduced(poset, v, high):
+            return b
+    return None
+
+
+def _interpolant_or_error(interpolate, *args):
+    try:
+        return interpolate(*args)
+    except (PreconditionViolated, NoInterpolant) as exc:
+        return type(exc)
+
+
+def test_slice_readers_fixed_basis(diamond):
+    labels = ("t", "b2", "a", "b1", "x")
+    beta = BasisMap(diamond, labels, {"t": "top", "b2": "bot", "a": "a", "b1": "bot", "x": "b"})
+    assert beta.way_fiber("a") == ("b2", "a", "b1")
+    assert beta.way_fiber("top") == labels
+    assert interpolate_unary(diamond, beta, "bot", "top") == "t"
+    assert interpolate_unary(diamond, beta, "bot", "a") == "b2"
+    assert interpolate_binary(diamond, beta, "a", "b", "top") == "t"
+    assert interpolate_binary(diamond, beta, "bot", "bot", "b") == "b2"
+
+
+def test_slice_readers_match_per_label_scan(small_corpus):
+    for seed, poset in enumerate(small_corpus):
+        if poset.n == 0:
+            continue
+        beta = _shuffled_basis(poset, seed)
+        els = poset.elements
+        for x in els:
+            scan = tuple(b for b in beta.labels if way_below_reduced(poset, beta.value(b), x))
+            assert beta.way_fiber(x) == scan
+        for x, y in itertools.product(els, repeat=2):
+            expected = PreconditionViolated if not way_below_reduced(poset, x, y) else _scan(poset, beta, [x], y)
+            got = _interpolant_or_error(interpolate_unary, poset, beta, x, y)
+            assert got == (NoInterpolant if expected is None else expected)
+        for x, y, z in itertools.product(els, repeat=3):
+            if not (way_below_reduced(poset, x, z) and way_below_reduced(poset, y, z)):
+                expected = PreconditionViolated
+            else:
+                expected = _scan(poset, beta, [x, y], z)
+            got = _interpolant_or_error(interpolate_binary, poset, beta, x, y, z)
+            assert got == (NoInterpolant if expected is None else expected)
+
+
+def test_compacts_match_naive_oracle(small_corpus):
+    for poset in small_corpus:
+        assert compacts(poset) == tuple(x for x in poset.elements if naive_way_below(poset, x, x))
 
 
 def test_interpolate_unary_precondition(diamond):
