@@ -74,14 +74,13 @@ def test_way_below_routes_match_naive_property(poset):
     assert way_below_matrix(poset).tolist() == naive
 
 
-def test_way_below_matrix_is_read_only():
+def test_way_below_matrix_is_read_only(two_chain):
     chain17 = closure_from_covers([f"c{i}" for i in range(17)], [(f"c{i}", f"c{i + 1}") for i in range(16)])
-    for poset in (closure_from_covers(("a", "b"), [("a", "b")]), chain17):
+    for poset in (two_chain, chain17):
         with pytest.raises(ValueError):
             way_below_matrix(poset)[0, 0] = False
         assert way_below_matrix(poset) is way_below_matrix(poset)
-    small = closure_from_covers(("a", "b"), [("a", "b")])
-    for table in (small.directed_table[0], small.directed_table[1], small.lub_table):
+    for table in (two_chain.directed_table[0], two_chain.directed_table[1], two_chain.lub_table):
         with pytest.raises(ValueError):
             table[0] = 0
 
