@@ -193,11 +193,8 @@ class FinPoset:
 
 
 def _row_mask(row) -> int:
-    mask = 0
-    for i, v in enumerate(row):
-        if v:
-            mask |= 1 << i
-    return mask
+    """The bitmask of a boolean row: bit i is set when row[i] is."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _bits(mask: int):
@@ -332,14 +329,15 @@ class MonoMap:
         return f"MonoMap({pairs})"
 
 
-def _pulled_back(target: FinPoset, graph):
-    """The target order read along a graph: entry (i, j) is graph[i] <= graph[j]."""
+def _pulled_back(relation, graph):
+    """A relation on the target read along a graph: entry (i, j) is
+    ``relation[graph[i], graph[j]]``."""
     g = np.asarray(graph, dtype=np.intp)
-    return target.leq[np.ix_(g, g)]
+    return relation[np.ix_(g, g)]
 
 
 def _graph_is_monotone(source, target, graph) -> bool:
-    return not (source.leq & ~_pulled_back(target, graph)).any()
+    return not (source.leq & ~_pulled_back(target.leq, graph)).any()
 
 
 def is_order_isomorphism(f: MonoMap) -> bool:
@@ -347,7 +345,7 @@ def is_order_isomorphism(f: MonoMap) -> bool:
     return (
         f.source.n == f.target.n
         and len(set(f.graph)) == f.target.n
-        and bool((f.source.leq == _pulled_back(f.target, f.graph)).all())
+        and bool((f.source.leq == _pulled_back(f.target.leq, f.graph)).all())
     )
 
 
@@ -371,17 +369,11 @@ def scott_continuity_of_graph(source, target, graph) -> bool:
     if not _graph_is_monotone(source, target, graph):
         return False
     dmasks, sups = source.directed_table
-    full = target.full_mask()
     for mask, sup in zip(dmasks.tolist(), sups.tolist()):
-        ubs = full
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                ubs &= target.above_int[graph[i]]
-            m >>= 1
-            i += 1
-        if target.least_in(ubs) != graph[sup]:
+        image = 0
+        for i in _bits(mask):
+            image |= 1 << graph[i]
+        if target.least_in(upper_bounds_mask(target, image)) != graph[sup]:
             return False
     return True
 

@@ -33,7 +33,7 @@ from .finposet import (
     is_scott_continuous,
     validate_ep_pair,
 )
-from .waybelow import BasisMap, check_small_basis, check_small_compact_basis, is_compact, way_below
+from .waybelow import BasisMap, check_small_basis, check_small_compact_basis, way_below_matrix
 
 ENUMERATION_CARRIER_LIMIT = 12
 
@@ -230,15 +230,7 @@ def idl_basis_check(basis: AbstractBasis) -> bool:
     beta = completion.principal_basis()
     if not check_small_basis(completion.poset, beta):
         return False
-    if basis.is_reflexive():
-        if not check_small_compact_basis(completion.poset, beta):
-            return False
-        if not all(
-            is_compact(completion.poset, completion.name_of(principal_ideal(basis, b)))
-            for b in basis.carrier
-        ):
-            return False
-    return True
+    return not basis.is_reflexive() or check_small_compact_basis(completion.poset, beta)
 
 
 def mediating_map(completion: IdealCompletion, assignment, target: FinPoset) -> MonoMap:
@@ -317,24 +309,12 @@ def basis_from_order(poset: FinPoset, beta: BasisMap) -> AbstractBasis:
 def _basis_from_relation(poset, beta, *, use_way_below) -> AbstractBasis:
     if not check_small_basis(poset, beta):
         raise NotABasis("input is not a small basis")
-    n = len(beta.labels)
-    mat = np.zeros((n, n), dtype=bool)
-    for i, b in enumerate(beta.labels):
-        for j, c in enumerate(beta.labels):
-            if use_way_below:
-                mat[i, j] = way_below(poset, beta.value(b), beta.value(c))
-            else:
-                mat[i, j] = poset.le(beta.value(b), beta.value(c))
-    out = AbstractBasis(tuple(beta.labels), mat)
+    relation = way_below_matrix(poset) if use_way_below else poset.leq
+    out = AbstractBasis(tuple(beta.labels), relation[np.ix_(beta.indices, beta.indices)])
     ok, witness = validate_abstract_basis(out)
     if not ok:
         raise NotABasis(f"derived relation is not an abstract basis: {witness}")
     return out
-
-
-def way_fiber_ideal(poset: FinPoset, beta: BasisMap, x) -> frozenset:
-    """The way-below fiber of x, as a subset of the basis carrier."""
-    return frozenset(b for b in beta.labels if way_below(poset, beta.value(b), x))
 
 
 def idl_ep_pair(poset: FinPoset, beta: BasisMap, *, use_way_below):
@@ -343,7 +323,7 @@ def idl_ep_pair(poset: FinPoset, beta: BasisMap, *, use_way_below):
     completion = idl_poset(ab)
     graph = []
     for x in poset.elements:
-        fiber = way_fiber_ideal(poset, beta, x)
+        fiber = frozenset(beta.way_fiber(x))
         try:
             graph.append(completion.poset.index(ideal_name(ab, fiber)))
         except UnknownElement:

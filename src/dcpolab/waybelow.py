@@ -12,7 +12,8 @@ asked, and caches the read-only matrix on the poset; every query reads it.
 The enumerated route groups every directed subset by its supremum: x is way
 below y unless some directed subset whose supremum is above y misses the
 up-set of x.  The reduced route is one boolean product: x is way below y when
-every g above y is above x.
+every g above y is above x.  Basis checks read the matrix, or the order, by
+index through ``BasisMap.indices``.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from .errors import (
     NotARetract,
     NotDirected,
     PreconditionViolated,
+    ShapeMismatch,
 )
 from .finposet import (
     SUBSET_ENUM_LIMIT,
     FinPoset,
     MonoMap,
+    _row_mask,
     directed_sup,
-    is_directed,
     retract_failure,
 )
 
@@ -118,14 +120,11 @@ def compacts(poset: FinPoset):
 
 def compacts_closed_under_joins_check(poset: FinPoset) -> bool:
     """Whenever two compacts have a least upper bound, it is compact."""
-    ks = compacts(poset)
-    for x in ks:
-        for y in ks:
-            ubs = poset.above_int[poset.index(x)] & poset.above_int[poset.index(y)]
-            lub = poset.least_in(ubs)
-            if lub is not None and not is_compact(poset, poset.elements[lub]):
-                return False
-    return True
+    compacts(poset)
+    diagonal = way_below_matrix(poset).diagonal()
+    ks = np.flatnonzero(diagonal)
+    lubs = poset.lub_table[np.ix_(ks, ks)]
+    return bool(diagonal[lubs[lubs >= 0]].all())
 
 
 def _family_names(fam):
@@ -138,11 +137,9 @@ def approximates(poset: FinPoset, fam, x) -> bool:
     """The family's supremum is x and each member is way below x."""
     values = _family_names(fam)
     mask = poset.mask_of(values)
-    if not is_directed(poset, mask):
-        raise NotDirected(f"{values} is not directed")
     if directed_sup(poset, mask) != x:
         return False
-    return all(way_below(poset, v, x) for v in values)
+    return (mask & ~_row_mask(way_below_matrix(poset)[:, poset.index(x)])) == 0
 
 
 @dataclass(frozen=True)
@@ -167,19 +164,22 @@ def check_continuity_data(poset: FinPoset, data: ContinuityData) -> bool:
 class BasisMap:
     """A map from an index set of labels into a host poset.
 
-    Labels may be any hashables; ``into`` sends each label to an element name.
-    The smallness clauses of the definitions hold structurally at this scale
-    (every carrier is finite and every predicate decidable), so they are
+    Labels may be any hashables; ``into`` sends each label to an element name,
+    and ``indices`` holds the host index of each label's value, in label
+    order.  The smallness clauses of the definitions hold structurally at this
+    scale (every carrier is finite and every predicate decidable), so they are
     recorded here rather than computed.
     """
 
     poset: FinPoset
     labels: tuple
     into: dict
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for b in self.labels:
-            self.poset.index(self.into[b])
+        indices = np.array([self.poset.index(self.into[b]) for b in self.labels], dtype=np.intp)
+        indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def identity(cls, poset) -> "BasisMap":
@@ -188,39 +188,58 @@ class BasisMap:
     def value(self, label):
         return self.into[label]
 
+    def hit_labels(self, hits) -> tuple:
+        """Labels, in label order, whose value's index is set in a boolean
+        array over the host."""
+        return tuple(b for b, hit in zip(self.labels, hits[self.indices].tolist()) if hit)
+
     def way_fiber(self, x):
         """Labels whose value is way below x."""
-        below_x = way_below_matrix(self.poset)[:, self.poset.index(x)]
-        return tuple(_hit_labels(self.poset, self, below_x))
+        return self.hit_labels(way_below_matrix(self.poset)[:, self.poset.index(x)])
 
     def down_fiber(self, x):
         """Labels whose value is below x."""
-        xi = self.poset.index(x)
-        return tuple(
-            b for b in self.labels if self.poset.leq[self.poset.index(self.into[b]), xi]
-        )
+        return self.hit_labels(self.poset.leq[:, self.poset.index(x)])
 
     def image_names(self):
         return tuple(self.into[b] for b in self.labels)
 
 
-def _fiber_ok(poset, basis, labels, x) -> bool:
-    mask = poset.mask_of(basis.value(b) for b in labels)
-    return mask != 0 and is_directed(poset, mask) and directed_sup(poset, mask) == x
+def _require_host(poset: FinPoset, basis: BasisMap):
+    """``basis.indices`` are positions in ``basis.poset``, so a basis on any
+    other host is refused rather than resolved by name."""
+    if basis.poset is not poset and basis.poset != poset:
+        raise ShapeMismatch("basis lives on a different poset")
+
+
+def _fibers_ok(poset: FinPoset, indices, relation) -> bool:
+    """For every x, the basis values related to x form a directed subset
+    whose supremum is x."""
+    image = np.zeros(poset.n, dtype=bool)
+    image[indices] = True
+    fibers = relation & image[:, None]
+    for x, name in enumerate(poset.elements):
+        try:
+            if directed_sup(poset, _row_mask(fibers[:, x])) != name:
+                return False
+        except NotDirected:
+            return False
+    return True
 
 
 def check_small_basis(poset: FinPoset, basis: BasisMap) -> bool:
     """Every way-below fiber is directed with supremum the point itself."""
-    return all(_fiber_ok(poset, basis, basis.way_fiber(x), x) for x in poset.elements)
+    _require_host(poset, basis)
+    return _fibers_ok(poset, basis.indices, way_below_matrix(poset))
 
 
 def check_small_compact_basis(poset: FinPoset, basis: BasisMap) -> bool:
     """A small basis of compact values, with the below-fibers checked directly."""
     if not check_small_basis(poset, basis):
         return False
-    if not all(is_compact(poset, basis.value(b)) for b in basis.labels):
+    if not way_below_matrix(poset).diagonal()[basis.indices].all():
         return False
-    return all(_fiber_ok(poset, basis, basis.down_fiber(x), x) for x in poset.elements)
+    return _fibers_ok(poset, basis.indices, poset.leq)
 
 
 def basis_contains_all_compacts_check(poset: FinPoset, basis: BasisMap) -> bool:
@@ -233,37 +252,34 @@ def basis_contains_all_compacts_check(poset: FinPoset, basis: BasisMap) -> bool:
 
 def leq_via_basis(poset: FinPoset, basis: BasisMap, x, y) -> bool:
     """Compare through the basis: every basis value way below x is way below y."""
-    return all(
-        way_below(poset, basis.value(b), y)
-        for b in basis.labels
-        if way_below(poset, basis.value(b), x)
-    )
-
-
-def _hit_labels(poset: FinPoset, basis: BasisMap, hits):
-    """Labels, in ``basis.labels`` order, whose value's index is set in hits."""
-    return (b for b in basis.labels if hits[poset.index(basis.value(b))])
+    _require_host(poset, basis)
+    rows = way_below_matrix(poset)[basis.indices]
+    return bool((rows[:, poset.index(y)] | ~rows[:, poset.index(x)]).all())
 
 
 def interpolate_unary(poset: FinPoset, basis: BasisMap, x, y):
     """A basis label strictly between x and y in the way-below order."""
+    _require_host(poset, basis)
     xi, yi = poset.index(x), poset.index(y)
     wb = way_below_matrix(poset)
     if not wb[xi, yi]:
         raise PreconditionViolated(f"{x} is not way below {y}")
-    for b in _hit_labels(poset, basis, wb[xi] & wb[:, yi]):
-        return b
-    raise NoInterpolant(f"no basis interpolant between {x} and {y}")
+    hits = basis.hit_labels(wb[xi] & wb[:, yi])
+    if not hits:
+        raise NoInterpolant(f"no basis interpolant between {x} and {y}")
+    return hits[0]
 
 
 def interpolate_binary(poset: FinPoset, basis: BasisMap, x, y, z):
+    _require_host(poset, basis)
     xi, yi, zi = poset.index(x), poset.index(y), poset.index(z)
     wb = way_below_matrix(poset)
     if not (wb[xi, zi] and wb[yi, zi]):
         raise PreconditionViolated(f"{x},{y} are not both way below {z}")
-    for b in _hit_labels(poset, basis, wb[xi] & wb[yi] & wb[:, zi]):
-        return b
-    raise NoInterpolant(f"no basis interpolant for {x},{y} under {z}")
+    hits = basis.hit_labels(wb[xi] & wb[yi] & wb[:, zi])
+    if not hits:
+        raise NoInterpolant(f"no basis interpolant for {x},{y} under {z}")
+    return hits[0]
 
 
 def _require_retract(section: MonoMap, retraction: MonoMap):
@@ -293,23 +309,25 @@ def retract_way_below_transfer_check(section: MonoMap, retraction: MonoMap, x=No
     """
     _require_retract(section, retraction)
     small, big = section.source, section.target
-    xs = [x] if x is not None else list(small.elements)
-    ys = [y] if y is not None else list(big.elements)
-    for a in xs:
-        sx = section.apply(a)
-        for b in ys:
-            if way_below(big, b, sx) and not way_below(small, retraction.apply(b), a):
-                return False
-    return True
+    xs = np.arange(small.n) if x is None else np.array([small.index(x)])
+    ys = np.arange(big.n) if y is None else np.array([big.index(y)])
+    sx = np.asarray(section.graph, dtype=np.intp)[xs]
+    ry = np.asarray(retraction.graph, dtype=np.intp)[ys]
+    premise = way_below_matrix(big)[np.ix_(ys, sx)]
+    conclusion = way_below_matrix(small)[np.ix_(ry, xs)]
+    return not (premise & ~conclusion).any()
 
 
 def exponential_locally_small_certificate(
     dom: FinPoset, basis: BasisMap, cod: FinPoset, f: MonoMap, g: MonoMap
 ) -> bool:
     """The basis-restricted comparison of two maps agrees with pointwise order."""
-    via_basis = all(cod.le(f.apply(basis.value(b)), g.apply(basis.value(b))) for b in basis.labels)
-    pointwise = all(cod.leq[f.graph[i], g.graph[i]] for i in range(dom.n))
-    return via_basis == pointwise
+    _require_host(dom, basis)
+    fg = np.asarray(f.graph, dtype=np.intp)
+    gg = np.asarray(g.graph, dtype=np.intp)
+    via_basis = cod.leq[fg[basis.indices], gg[basis.indices]].all()
+    pointwise = cod.leq[fg, gg].all()
+    return bool(via_basis == pointwise)
 
 
 def compose_basis(after: MonoMap, basis: BasisMap) -> BasisMap:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from dcpolab.bilimit import (
+    Tower,
     alpha_infinity,
     bilimit_basis,
     dinfty_demo,
@@ -11,6 +12,7 @@ from dcpolab.bilimit import (
     scott_tower,
 )
 from dcpolab.canonex import sierpinski
+from dcpolab.cli import generate_ep_corpus
 from dcpolab.errors import NotApproximating, StageTooLarge
 from dcpolab.expo import step_basis
 from dcpolab.finposet import validate_ep_pair
@@ -20,6 +22,7 @@ from dcpolab.waybelow import (
     check_small_basis,
     check_small_compact_basis,
     is_compact,
+    way_below_reduced,
 )
 
 
@@ -182,6 +185,18 @@ def test_embeddings_preserve_and_reflect_way_below(tower2):
     for i in range(3):
         for j in range(i, 3):
             assert embedding_preserves_way_below_check(tower2, i, j)
+
+
+def test_embedding_way_below_check_matches_per_pair_scan():
+    for pair in generate_ep_corpus(21, 15, 5):
+        tower = Tower((pair.embed.source, pair.embed.target), (pair,))
+        low, high, eps = tower.stages[0], tower.stages[1], pair.embed
+        scan = all(
+            way_below_reduced(low, x, y) == way_below_reduced(high, eps.apply(x), eps.apply(y))
+            for x in low.elements
+            for y in low.elements
+        )
+        assert embedding_preserves_way_below_check(tower, 0, 1) is scan
 
 
 def test_dinfty_demo_report():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -7,13 +8,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_directed_sups, naive_way_below, small_posets
+from conftest import lub_oracle, naive_directed_sups, naive_way_below, small_posets
 
 from dcpolab.canonex import lifting, powerset, sierpinski
 from dcpolab.cli import generate_ep_corpus
-from dcpolab.errors import NoInterpolant, NotABasis, NotARetract, NotDirected, PreconditionViolated
+from dcpolab.errors import (
+    NoInterpolant,
+    NotABasis,
+    NotARetract,
+    NotDirected,
+    PreconditionViolated,
+    ShapeMismatch,
+)
 from dcpolab.expo import enumerate_monotone_maps
 from dcpolab.finposet import EpPair, MonoMap, closure_from_covers, validate_ep_pair
+from dcpolab.idealcomp import (
+    AbstractBasis,
+    basis_from_order,
+    basis_from_waybelow,
+    validate_abstract_basis,
+)
 from dcpolab.waybelow import (
     BasisMap,
     ContinuityData,
@@ -347,6 +361,102 @@ def test_slice_readers_match_per_label_scan(small_corpus):
                 expected = _scan(poset, beta, [x, y], z)
             got = _interpolant_or_error(interpolate_binary, poset, beta, x, y, z)
             assert got == (NoInterpolant if expected is None else expected)
+
+
+def _fibers_scan(poset, basis, related):
+    """Each fiber {value(b) | related(value(b), x)} is directed with supremum
+    x, decided label by label and pair by pair."""
+    for x in poset.elements:
+        fiber = [basis.value(b) for b in basis.labels if related(basis.value(b), x)]
+        directed = all(
+            any(poset.le(a, u) and poset.le(c, u) for u in fiber) for a in fiber for c in fiber
+        )
+        if not fiber or not directed or lub_oracle(poset, fiber) != x:
+            return False
+    return True
+
+
+def _relation_scan(basis, related, small):
+    """The derived abstract basis, or NotABasis, entry by entry."""
+    if not small:
+        return NotABasis
+    values = [basis.value(b) for b in basis.labels]
+    prec = [[related(u, v) for v in values] for u in values]
+    derived = AbstractBasis(basis.labels, np.array(prec, dtype=bool).reshape(len(values), -1))
+    ok, _ = validate_abstract_basis(derived)
+    return (derived.carrier, derived.prec.tobytes()) if ok else NotABasis
+
+
+def _derived_or_error(derive, poset, basis):
+    try:
+        out = derive(poset, basis)
+    except NotABasis:
+        return NotABasis
+    return out.carrier, out.prec.tobytes()
+
+
+def test_basis_checks_match_per_pair_oracles(small_corpus):
+    for seed, poset in enumerate(small_corpus):
+        if poset.n == 0:
+            continue
+        beta = _shuffled_basis(poset, seed)
+        way = functools.partial(way_below_reduced, poset)
+        small = _fibers_scan(poset, beta, way)
+        compact = (
+            small
+            and all(way(beta.value(b), beta.value(b)) for b in beta.labels)
+            and _fibers_scan(poset, beta, poset.le)
+        )
+        assert check_small_basis(poset, beta) is small
+        assert check_small_compact_basis(poset, beta) is compact
+        for x in poset.elements:
+            scan = tuple(b for b in beta.labels if poset.le(beta.value(b), x))
+            assert beta.down_fiber(x) == scan
+        for x, y in itertools.product(poset.elements, repeat=2):
+            scan = all(way(beta.value(b), y) for b in beta.labels if way(beta.value(b), x))
+            assert leq_via_basis(poset, beta, x, y) is scan
+        for derive, related in ((basis_from_waybelow, way), (basis_from_order, poset.le)):
+            expected = _relation_scan(beta, related, small)
+            assert _derived_or_error(derive, poset, beta) == expected
+
+
+def test_retract_way_below_transfer_single_pairs():
+    for pair in generate_ep_corpus(13, 20, 5):
+        s, r = pair.embed, pair.project
+        small, big = s.source, s.target
+        every = True
+        for x, y in itertools.product(small.elements, big.elements):
+            scan = not way_below_reduced(big, y, s.apply(x)) or way_below_reduced(
+                small, r.apply(y), x
+            )
+            assert retract_way_below_transfer_check(s, r, x, y) is scan
+            every = every and scan
+        assert retract_way_below_transfer_check(s, r) is every
+
+
+def test_basis_checks_refuse_a_basis_on_another_host(diamond, two_chain):
+    beta = BasisMap.identity(diamond)
+    reordered = closure_from_covers(
+        ("top", "b", "a", "bot"), [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+    )
+    to_bot = MonoMap.from_mapping(diamond, two_chain, {x: "bot" for x in diamond.elements})
+    calls = [
+        lambda host: check_small_basis(host, beta),
+        lambda host: check_small_compact_basis(host, beta),
+        lambda host: basis_contains_all_compacts_check(host, beta),
+        lambda host: leq_via_basis(host, beta, "a", "top"),
+        lambda host: interpolate_unary(host, beta, "bot", "top"),
+        lambda host: interpolate_binary(host, beta, "a", "b", "top"),
+        lambda host: basis_from_waybelow(host, beta),
+        lambda host: basis_from_order(host, beta),
+        lambda host: exponential_locally_small_certificate(host, beta, two_chain, to_bot, to_bot),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatch):
+            call(reordered)
+    equal_copy = closure_from_covers(diamond.elements, diamond.covers())
+    assert check_small_compact_basis(equal_copy, beta)
+    assert leq_via_basis(equal_copy, beta, "a", "top")
 
 
 def test_compacts_match_naive_oracle(small_corpus):
