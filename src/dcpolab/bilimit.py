@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .canonex import sierpinski
 from .errors import IncompatibleTower, NotABasis, NotApproximating, StageTooLarge
 from .finposet import EpPair, FinPoset, MonoMap, componentwise_leq, is_order_isomorphism
@@ -78,11 +80,11 @@ def scott_tower(n: int, *, unsafe: bool = False) -> Tower:
         expo = exponential(below, below)
         if prev_pair is None:
             embed = MonoMap(base, expo.poset, [expo.index_of((x,) * base.n) for x in range(base.n)])
-            project = MonoMap(expo.poset, base, [m.graph[base.bottom] for m in expo.maps])
+            project = MonoMap(expo.poset, base, expo.graphs[:, base.bottom].tolist())
         else:
-            e, p = prev_pair.embed, prev_pair.project
-            up = [expo.index_of(mono_compose(e, mono_compose(f, p)).graph) for f in prev_expo.maps]
-            down = [prev_expo.index_of(mono_compose(p, mono_compose(g, e)).graph) for g in expo.maps]
+            e, p = np.asarray(prev_pair.embed.graph), np.asarray(prev_pair.project.graph)
+            up = [expo.index_of(g) for g in e[prev_expo.graphs[:, p]].tolist()]
+            down = [prev_expo.index_of(g) for g in p[expo.graphs[:, e]].tolist()]
             embed = MonoMap(prev_expo.poset, expo.poset, up)
             project = MonoMap(expo.poset, prev_expo.poset, down)
         pair = EpPair(embed=embed, project=project)

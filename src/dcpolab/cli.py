@@ -11,6 +11,8 @@ import argparse
 import random
 import sys
 
+import numpy as np
+
 from . import bilimit as _bilimit
 from . import canonex, dyadics, expo, idealcomp, indcomp, waybelow
 from .errors import CycleDetected, DuplicateElement, OrderTheoryError, ParseError, UnknownElement
@@ -125,19 +127,13 @@ def generate_ep_corpus(seed: int, count: int, max_size: int):
     for big in posets:
         if len(out) >= count:
             break
-        candidates = []
-        for m in expo.enumerate_monotone_maps(big, big):
-            if all(big.leq[m.graph[i], i] for i in range(big.n)) and all(
-                m.graph[m.graph[i]] == m.graph[i] for i in range(big.n)
-            ):
-                candidates.append(m)
-        deflation = rng.choice(candidates)
-        image = sorted(set(deflation.graph))
-        small = subposet(big, [big.elements[i] for i in image])
+        graphs = expo.monotone_graphs(big, big)
+        deflating = big.leq[graphs, np.arange(big.n)].all(axis=1)
+        idempotent = (np.take_along_axis(graphs, graphs, axis=1) == graphs).all(axis=1)
+        deflation = rng.choice(graphs[deflating & idempotent].tolist())
+        small = subposet(big, [big.elements[i] for i in sorted(set(deflation))])
         section = MonoMap.from_mapping(small, big, {x: x for x in small.elements})
-        retraction = MonoMap(
-            big, small, [small.index(big.elements[deflation.graph[i]]) for i in range(big.n)]
-        )
+        retraction = MonoMap(big, small, [small.index(big.elements[g]) for g in deflation])
         out.append(EpPair(embed=section, project=retraction))
     return out
 

@@ -1,9 +1,9 @@
 """Exponentials of finite posets, step functions, and their bases.
 
-The carrier of an exponential is every monotone map, enumerated by a
-backtracking search over a linear extension of the source with upper-set
-pruning; elements are named ``f0, f1, ...`` in the canonical order of their
-graphs.
+The carrier of an exponential is one sorted array of monotone-map graphs,
+grown level by level along a linear extension of the source: a partial row
+keeps a value when it lies above the values of every predecessor.  Elements
+are named ``f0, f1, ...`` in the row order of that array.
 
 Step functions use the decidable case split (value above the threshold,
 bottom elsewhere); on a decidable order this agrees with the
@@ -18,11 +18,13 @@ largest of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NotALattice, PreconditionViolated, TooLarge
-from .finposet import FinPoset, MonoMap, componentwise_leq, mono_compose
+from .finposet import FinPoset, MonoMap, componentwise_leq
 from .idealcomp import basis_from_order, idl_ep_pair, idl_poset
 from .waybelow import BasisMap, check_small_basis, is_compact
 
@@ -32,50 +34,56 @@ NODE_BUDGET = 10_000_000
 CARRIER_BUDGET = 5000
 
 
+def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) -> np.ndarray:
+    """Exactly the monotone graphs D -> E: a read-only ``(m, D.n)`` array,
+    one row per map, sorted lexicographically.
+
+    The rows grow one source element at a time along a linear extension; a
+    partial row takes value e when every predecessor's value lies below e.
+    Each kept partial row counts as one search node against the budget.
+    """
+    topo = sorted(range(D.n), key=lambda i: (bin(D.below_int[i]).count("1"), i))
+    rows = np.zeros((1, 0), dtype=np.intp)
+    nodes = 0
+    for k, x in enumerate(topo):
+        preds = [p for p in range(k) if D.leq[topo[p], x]]
+        below = rows[:, preds]
+        level = [np.empty((0, k + 1), dtype=np.intp)]  # the width survives an empty E
+        for e in range(E.n):
+            kept = rows[E.leq[below, e].all(axis=1)]
+            nodes += len(kept)
+            if nodes > node_budget:
+                raise TooLarge("monotone-map search exceeded its node budget")
+            level.append(np.column_stack([kept, np.full(len(kept), e, dtype=np.intp)]))
+        rows = np.concatenate(level)
+    graphs = np.empty_like(rows)
+    graphs[:, topo] = rows
+    graphs = graphs[np.lexsort(graphs.T[::-1])] if D.n else graphs  # lexsort needs a key
+    graphs.setflags(write=False)
+    return graphs
+
+
 def enumerate_monotone_maps(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET):
     """Exactly the monotone maps D -> E, sorted by graph tuple."""
-    if D.n == 0:
-        return [MonoMap(D, E, (), check=False)]
-    if E.n == 0:
-        return []
-    topo = sorted(range(D.n), key=lambda i: (bin(D.below_int[i]).count("1"), i))
-    position = {v: k for k, v in enumerate(topo)}
-    preds = [
-        [position[j] for j in range(D.n) if D.leq[j, topo[k]] and j != topo[k]]
-        for k in range(D.n)
-    ]
-    out = []
-    graph = [0] * D.n
-    nodes = 0
-
-    def backtrack(k: int):
-        nonlocal nodes
-        if k == D.n:
-            out.append(tuple(graph))
-            return
-        lower = E.full_mask()
-        for p in preds[k]:
-            lower &= E.above_int[graph[topo[p]]]
-        for e in range(E.n):
-            if lower & (1 << e):
-                nodes += 1
-                if nodes > node_budget:
-                    raise TooLarge("monotone-map search exceeded its node budget")
-                graph[topo[k]] = e
-                backtrack(k + 1)
-
-    backtrack(0)
-    return [MonoMap(D, E, g, check=False) for g in sorted(out)]
+    return [MonoMap(D, E, g, check=False) for g in monotone_graphs(D, E, node_budget).tolist()]
 
 
 @dataclass(frozen=True)
 class ExponentialPoset:
-    """All monotone maps D -> E under the pointwise order."""
+    """All monotone maps D -> E under the pointwise order.
+
+    Row i of ``graphs`` is the graph of the map named ``poset.elements[i]``.
+    """
 
     source: FinPoset
     target: FinPoset
-    maps: tuple
+    graphs: np.ndarray = field(repr=False, compare=False)
     poset: FinPoset
+
+    @cached_property
+    def maps(self) -> tuple:
+        D, E = self.source, self.target
+        return tuple(MonoMap(D, E, g, check=False) for g in self.graphs.tolist())
 
     def index_of(self, graph) -> int:
         """Index in ``poset`` of the map with this graph."""
@@ -84,12 +92,9 @@ class ExponentialPoset:
     def name_of(self, m: MonoMap) -> str:
         return self.poset.elements[self.index_of(m.graph)]
 
-    def map_of(self, name) -> MonoMap:
-        return self.maps[self.poset.index(name)]
-
     @cached_property
     def _graph_index(self):
-        return {m.graph: i for i, m in enumerate(self.maps)}
+        return {tuple(g): i for i, g in enumerate(self.graphs.tolist())}
 
     def join_graph(self, g1, g2):
         lub = self.target.lub_table
@@ -97,13 +102,12 @@ class ExponentialPoset:
 
 
 def exponential(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) -> ExponentialPoset:
-    maps = enumerate_monotone_maps(D, E, node_budget)
-    if len(maps) > CARRIER_BUDGET:
-        raise TooLarge(f"exponential carrier of {len(maps)} maps exceeds the budget")
-    width = len(str(max(len(maps) - 1, 0)))
-    names = tuple(f"f{i:0{width}d}" for i in range(len(maps)))
-    leq = componentwise_leq([E] * D.n, [m.graph for m in maps])
-    return ExponentialPoset(D, E, tuple(maps), FinPoset(names, leq))
+    graphs = monotone_graphs(D, E, node_budget)
+    if len(graphs) > CARRIER_BUDGET:
+        raise TooLarge(f"exponential carrier of {len(graphs)} maps exceeds the budget")
+    width = len(str(max(len(graphs) - 1, 0)))
+    names = tuple(f"f{i:0{width}d}" for i in range(len(graphs)))
+    return ExponentialPoset(D, E, graphs, FinPoset(names, componentwise_leq([E] * D.n, graphs)))
 
 
 def step_function(D: FinPoset, E: FinPoset, d, e) -> MonoMap:
@@ -117,13 +121,9 @@ def step_function(D: FinPoset, E: FinPoset, d, e) -> MonoMap:
 
 def step_function_above_check(D, E, d, e, expo: ExponentialPoset) -> bool:
     """A map lies above the step at (d, e) exactly when its value at d does."""
-    step = step_function(D, E, d, e)
-    si = expo.index_of(step.graph)
-    ei = E.index(e)
-    for i, f in enumerate(expo.maps):
-        if bool(expo.poset.leq[si, i]) != bool(E.leq[ei, f.graph[D.index(d)]]):
-            return False
-    return True
+    si = expo.index_of(step_function(D, E, d, e).graph)
+    above = E.leq[E.index(e), expo.graphs[:, D.index(d)]]
+    return bool((expo.poset.leq[si] == above).all())
 
 
 def step_function_compact_check(D: FinPoset, E: FinPoset, d, e) -> bool:
@@ -262,12 +262,8 @@ def exp_basis_via_retract(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: Ba
     step = step_basis(dbar, comp_d.principal_basis(), ebar, comp_e.principal_basis())
     upstairs = exponential(dbar, ebar)
     downstairs = exponential(D, E)
-
-    def pull_down(name):
-        g = upstairs.map_of(name)
-        back = mono_compose(pair_e.project, mono_compose(g, pair_d.embed))
-        return downstairs.name_of(back)
-
-    return BasisMap(
-        downstairs.poset, step.labels, {l: pull_down(step.value(l)) for l in step.labels}
-    )
+    into, back = np.asarray(pair_d.embed.graph), np.asarray(pair_e.project.graph)
+    ups = upstairs.graphs[[upstairs.poset.index(step.value(l)) for l in step.labels]]
+    downs = [downstairs.index_of(g) for g in back[ups[:, into]].tolist()]
+    values = {l: downstairs.poset.elements[i] for l, i in zip(step.labels, downs)}
+    return BasisMap(downstairs.poset, step.labels, values)

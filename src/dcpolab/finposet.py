@@ -290,8 +290,8 @@ class MonoMap:
     __slots__ = ("source", "target", "graph")
 
     def __init__(self, source: FinPoset, target: FinPoset, graph, *, check=True):
-        graph = tuple(int(g) for g in graph)
-        if len(graph) != source.n or any(not 0 <= g < target.n for g in graph):
+        graph = tuple(map(int, graph))
+        if len(graph) != source.n or graph and not 0 <= min(graph) <= max(graph) < target.n:
             raise ShapeMismatch("graph does not assign every source element")
         if check and not _graph_is_monotone(source, target, graph):
             raise NotMonotone("assignment is not monotone")

@@ -14,8 +14,8 @@ from dcpolab.bilimit import (
 from dcpolab.canonex import sierpinski
 from dcpolab.cli import generate_ep_corpus
 from dcpolab.errors import NotApproximating, StageTooLarge
-from dcpolab.expo import step_basis
-from dcpolab.finposet import validate_ep_pair
+from dcpolab.expo import exponential, step_basis
+from dcpolab.finposet import mono_compose, validate_ep_pair
 from dcpolab.indcomp import DirectedFamily
 from dcpolab.waybelow import (
     approximates,
@@ -64,6 +64,20 @@ def test_pair_composites_functorial(tower2):
     p20 = tower2.project_between(2, 0)
     for x in tower2.stages[0].elements:
         assert p20.apply(e02.apply(x)) == x
+
+
+def test_tower_pairs_match_composed_conjugation(tower2):
+    # the reference recursion, one composition per map: base pair, then conjugation
+    base = tower2.stages[0]
+    ex1, ex2 = exponential(base, base), exponential(tower2.stages[1], tower2.stages[1])
+    constants = [ex1.index_of((x,) * base.n) for x in range(base.n)]
+    assert tower2.pairs[0].embed.graph == tuple(constants)
+    assert tower2.pairs[0].project.graph == tuple(m.graph[base.bottom] for m in ex1.maps)
+    e, p = tower2.pairs[0].embed, tower2.pairs[0].project
+    up = [ex2.index_of(mono_compose(e, mono_compose(f, p)).graph) for f in ex1.maps]
+    down = [ex1.index_of(mono_compose(p, mono_compose(g, e)).graph) for g in ex2.maps]
+    assert tower2.pairs[1].embed.graph == tuple(up)
+    assert tower2.pairs[1].project.graph == tuple(down)
 
 
 def test_composite_section_and_deflation_laws(tower2):

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import small_posets
 
 from dcpolab.canonex import sierpinski
 from dcpolab.cli import generate_lattice_corpus
@@ -13,6 +20,7 @@ from dcpolab.expo import (
     exp_basis_via_retract,
     exponential,
     idl_supcomplete_check,
+    monotone_graphs,
     step_basis,
     step_function,
     step_function_above_check,
@@ -77,6 +85,61 @@ def test_monotone_enumeration_is_sorted_and_exact(small_corpus):
 def test_node_budget_guard():
     with pytest.raises(TooLarge):
         enumerate_monotone_maps(chain(4), chain(4), node_budget=3)
+
+
+EMPTY = closure_from_covers((), [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(small_posets(), small_posets()).filter(lambda pair: pair[1].n ** pair[0].n <= 4096)
+)
+@example((EMPTY, chain(2)))
+@example((chain(2), EMPTY))
+def test_monotone_graphs_is_the_sorted_product_filter(pair):
+    dom, cod = pair
+    graphs = monotone_graphs(dom, cod)
+    assert graphs.dtype == np.intp and not graphs.flags.writeable
+    assert graphs.shape[1] == dom.n
+    brute = [
+        g
+        for g in itertools.product(range(cod.n), repeat=dom.n)
+        if all(cod.leq[g[i], g[j]] for i in range(dom.n) for j in range(dom.n) if dom.leq[i, j])
+    ]
+    rows = [tuple(g) for g in graphs.tolist()]
+    assert rows == brute
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    if dom.n == 0:
+        assert graphs.shape == (1, 0)
+    elif cod.n == 0:
+        assert graphs.shape == (0, dom.n)
+
+
+def test_node_budget_counts_kept_partial_rows():
+    # the search keeps 69 partial rows on the way to the 35 maps chain(4) -> chain(4)
+    assert len(monotone_graphs(chain(4), chain(4), node_budget=69)) == 35
+    with pytest.raises(TooLarge):
+        monotone_graphs(chain(4), chain(4), node_budget=68)
+
+
+def test_node_budget_bounds_memory_before_it_raises():
+    dom = closure_from_covers(("a", "b", "c"), [])
+    cod = closure_from_covers(tuple(f"t{i}" for i in range(400)), [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            monotone_graphs(dom, cod, node_budget=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_separately_built_exponentials_are_equal_and_hash_alike():
+    first, second = exponential(chain(2), chain(3)), exponential(chain(2), chain(3))
+    assert first is not second and first.graphs is not second.graphs
+    assert first == second
+    assert hash(first) == hash(second)
 
 
 def test_step_function_bottom_threshold_is_constant(two_chain, diamond):

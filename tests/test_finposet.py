@@ -137,8 +137,9 @@ def test_monomap_requires_monotone(two_chain):
 
 
 def test_monomap_requires_total(two_chain):
-    with pytest.raises(ShapeMismatch):
-        MonoMap(two_chain, two_chain, (0,))
+    for graph in [(0,), (0, -1), (0, 2)]:
+        with pytest.raises(ShapeMismatch):
+            MonoMap(two_chain, two_chain, graph)
 
 
 def test_scott_continuous_identity_and_constant(diamond):
