@@ -163,7 +163,12 @@ def _join_closure(bottom, generators, join, le):
 def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> BasisMap:
     """The directified single-step basis of the exponential."""
     _require_lattice(E)
-    expo = exponential(D, E)
+    return _step_basis_in(exponential(D, E), beta_d, beta_e)
+
+
+def _step_basis_in(expo: ExponentialPoset, beta_d: BasisMap, beta_e: BasisMap) -> BasisMap:
+    """``step_basis`` inside an exponential that is already built."""
+    D, E = expo.source, expo.target
     generators = [
         ((b, c), step_function(D, E, beta_d.value(b), beta_e.value(c)).graph)
         for b in beta_d.labels
@@ -259,11 +264,12 @@ def exp_basis_via_retract(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: Ba
     pair_d, comp_d = idl_ep_pair(D, beta_d, use_way_below=False)
     pair_e, comp_e = idl_ep_pair(E, beta_e_closed, use_way_below=False)
     dbar, ebar = comp_d.poset, comp_e.poset
-    step = step_basis(dbar, comp_d.principal_basis(), ebar, comp_e.principal_basis())
+    _require_lattice(ebar)
     upstairs = exponential(dbar, ebar)
+    step = _step_basis_in(upstairs, comp_d.principal_basis(), comp_e.principal_basis())
     downstairs = exponential(D, E)
     into, back = np.asarray(pair_d.embed.graph), np.asarray(pair_e.project.graph)
-    ups = upstairs.graphs[[upstairs.poset.index(step.value(l)) for l in step.labels]]
+    ups = upstairs.graphs[step.indices]
     downs = [downstairs.index_of(g) for g in back[ups[:, into]].tolist()]
     values = {l: downstairs.poset.elements[i] for l, i in zip(step.labels, downs)}
     return BasisMap(downstairs.poset, step.labels, values)

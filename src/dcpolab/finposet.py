@@ -10,6 +10,7 @@ a vectorised pass over ``numpy`` integer arrays.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -148,24 +149,11 @@ class FinPoset:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         if n > SUBSET_ENUM_LIMIT:
             raise TooLarge(f"2^{n} subsets exceeds the enumeration budget")
-        # A mask fails on a pair of members i, j when it holds both and none of
-        # their common upper bounds.  The larger of two comparable members
-        # bounds both, so only incomparable pairs are tested, and for those
-        # neither i nor j is a common upper bound: the mask fails exactly when
-        # its bits among ``pair | ub`` are ``pair``.  Masks that fail are
-        # dropped after each i, keeping the survivors in ascending order.
-        dmasks = np.arange(1, 1 << n, dtype=np.int64)
-        for i in range(n):
-            ok = None
-            for j in range(i + 1, n):
-                if self.leq[i, j] or self.leq[j, i]:
-                    continue
-                pair = (1 << i) | (1 << j)
-                ub = self.above_int[i] & self.above_int[j]
-                bounded = (dmasks & (pair | ub)) != pair
-                ok = bounded if ok is None else ok & bounded
-            if ok is not None:
-                dmasks = dmasks[ok]
+        # Masks holding two members with no common upper bound among the
+        # members are dropped; the larger of two comparable members bounds both.
+        dmasks = bounded_masks(
+            np.arange(1, 1 << n, dtype=np.int64), self.above_int, combinations(range(n), 2)
+        )
         sups = np.full(dmasks.shape, -1, dtype=np.int64)
         full = self.full_mask()
         for g in range(n):
@@ -195,6 +183,33 @@ class FinPoset:
 def _row_mask(row) -> int:
     """The bitmask of a boolean row: bit i is set when row[i] is."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def bounded_masks(masks, up, pairs):
+    """The subset masks in which every listed pair of members has a common
+    upper bound among the members.
+
+    ``up[k]`` is the mask of everything above k under the relation at hand,
+    and ``pairs`` lists index pairs (i, j) in ascending i.  A mask fails on
+    (i, j) when it holds both and none of ``up[i] & up[j]``.  When that bound
+    set meets the pair itself, every mask holding the pair holds a bound, so
+    the pair is skipped; otherwise a mask fails exactly when its bits among
+    ``pair | ub`` are ``pair``.  Failing masks are dropped after each i, which
+    keeps the survivors in ascending order and shortens the later scans.
+    """
+    current, ok = None, None
+    for i, j in pairs:
+        if i != current:
+            if ok is not None:
+                masks = masks[ok]
+            current, ok = i, None
+        pair = (1 << i) | (1 << j)
+        ub = up[i] & up[j]
+        if ub & pair:
+            continue
+        bounded = (masks & (pair | ub)) != pair
+        ok = bounded if ok is None else ok & bounded
+    return masks if ok is None else masks[ok]
 
 
 def _bits(mask: int):
@@ -369,11 +384,12 @@ def scott_continuity_of_graph(source, target, graph) -> bool:
     if not _graph_is_monotone(source, target, graph):
         return False
     dmasks, sups = source.directed_table
+    full, above = target.full_mask(), target.above_int
     for mask, sup in zip(dmasks.tolist(), sups.tolist()):
-        image = 0
+        ubs = full
         for i in _bits(mask):
-            image |= 1 << graph[i]
-        if target.least_in(upper_bounds_mask(target, image)) != graph[sup]:
+            ubs &= above[graph[i]]
+        if target.least_in(ubs) != graph[sup]:
             return False
     return True
 

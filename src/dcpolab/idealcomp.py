@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -28,14 +29,14 @@ from .finposet import (
     FinPoset,
     MonoMap,
     _bits,
+    _row_mask,
+    bounded_masks,
     directed_sup,
     is_order_isomorphism,
     is_scott_continuous,
     validate_ep_pair,
 )
 from .waybelow import BasisMap, check_small_basis, check_small_compact_basis, way_below_matrix
-
-ENUMERATION_CARRIER_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -93,59 +94,72 @@ def validate_abstract_basis(basis: AbstractBasis):
     """Transitivity plus nullary and binary interpolation, by exhaustion.
 
     Returns (True, None) or (False, counterexample) where the counterexample
-    names the first failing axiom and its witnesses.
+    names the first failing axiom and its first witnesses in lexicographic
+    index order: (a, b, c) with a < b < c but not a < c, then an element with
+    nothing below it, then (b, a1, a2) with a1, a2 < b and nothing between.
     """
-    n, rel = basis.n, basis.prec
-    for a in range(n):
-        for b in range(n):
-            if rel[a, b]:
-                for c in range(n):
-                    if rel[b, c] and not rel[a, c]:
-                        return False, (
-                            "transitivity",
-                            basis.carrier[a],
-                            basis.carrier[b],
-                            basis.carrier[c],
-                        )
-    for a in range(n):
-        if not rel[:, a].any():
-            return False, ("nullary-interpolation", basis.carrier[a])
-    for b in range(n):
-        under = [a for a in range(n) if rel[a, b]]
-        for a1 in under:
-            for a2 in under:
-                if not any(rel[a1, c] and rel[a2, c] and rel[c, b] for c in range(n)):
-                    return False, (
-                        "binary-interpolation",
-                        basis.carrier[a1],
-                        basis.carrier[a2],
-                        basis.carrier[b],
-                    )
+    rel, below, name = basis.prec, basis.prec.T, basis.carrier.__getitem__
+    # [a, b, c]: a < b and b < c, but not a < c
+    hit = _first_hit(basis.n, lambda lo, hi: rel[lo:hi, :, None] & rel & ~rel[lo:hi, None, :])
+    if hit:
+        return False, ("transitivity", *map(name, hit))
+    hits = np.flatnonzero(~rel.any(axis=0))
+    if len(hits):
+        return False, ("nullary-interpolation", name(int(hits[0])))
+
+    def unsplit(lo, hi):  # [b, a1, a2]: a1, a2 < b, and no c with a1 < c, a2 < c and c < b
+        under = below[lo:hi, None, :]
+        return under.transpose(0, 2, 1) & under & ~((rel & under) @ rel.T)
+
+    hit = _first_hit(basis.n, unsplit)
+    if hit:
+        b, a1, a2 = hit
+        return False, ("binary-interpolation", name(a1), name(a2), name(b))
     return True, None
 
 
-def _mask_is_ideal(basis: AbstractBasis, mask: int) -> bool:
-    if mask == 0:
-        return False
-    rel = basis.prec
-    members = list(_bits(mask))
-    for b in members:
-        for a in range(basis.n):
-            if rel[a, b] and not mask & (1 << a):
-                return False
-    for b1 in members:
-        for b2 in members:
-            if not any(rel[b1, c] and rel[b2, c] for c in _bits(mask)):
-                return False
-    return True
+_SLAB_CELLS = 1 << 22
+
+
+def _first_hit(n: int, slab):
+    """The first index triple, in lexicographic order, at which a boolean n-cube
+    holds, or None.  ``slab(lo, hi)`` builds planes lo..hi-1, about
+    ``_SLAB_CELLS`` cells at a time, so a large carrier costs time, not memory."""
+    step = max(1, _SLAB_CELLS // max(n * n, 1))
+    slabs = (np.argwhere(slab(lo, min(lo + step, n))) + (lo, 0, 0) for lo in range(0, n, step))
+    return next((tuple(hits[0].tolist()) for hits in slabs if len(hits)), None)
+
+
+def _ideal_masks(basis: AbstractBasis, masks=None):
+    """The subset masks that are ideals, every subset of the carrier by default.
+
+    A mask passes when it is inhabited, down-closed under ``prec``, and every
+    pair b1 <= b2 of its members, b1 == b2 included, lies under a member.  The
+    diagonal pair puts each member under another, so every ideal is rounded.
+    """
+    n, rel = basis.n, basis.prec
+    if masks is None:
+        if n > SUBSET_ENUM_LIMIT:
+            raise CarrierTooLarge(f"carrier of {n} exceeds the subset-scan bound")
+        masks = np.arange(1 << n, dtype=np.int64)
+    masks = masks[masks != 0]
+    for b in range(n):
+        down = _row_mask(rel[:, b])
+        masks = masks[(((masks >> b) & 1) == 0) | ((masks & down) == down)]
+    up = [_row_mask(rel[b]) for b in range(n)]
+    return bounded_masks(masks, up, combinations_with_replacement(range(n), 2))
+
+
+def _members(basis: AbstractBasis, mask: int) -> frozenset:
+    return frozenset(basis.carrier[i] for i in _bits(mask))
 
 
 def is_ideal(basis: AbstractBasis, subset) -> bool:
     """A directed lower set with respect to the basis relation."""
-    mask = 0
-    for member in subset:
-        mask |= 1 << basis.index(member)
-    return _mask_is_ideal(basis, mask)
+    mask = sum(1 << i for i in {basis.index(member) for member in subset})
+    # int64 holds the masks of up to 62 members; past that they stay Python ints.
+    masks = np.array([mask], dtype=np.int64 if basis.n < 63 else object)
+    return len(_ideal_masks(basis, masks)) == 1
 
 
 def principal_ideal(basis: AbstractBasis, member) -> frozenset:
@@ -160,13 +174,7 @@ def ideal_is_rounded(basis: AbstractBasis, ideal) -> bool:
 
 def enumerate_ideals(basis: AbstractBasis):
     """All ideals of a finite basis, in ascending bitmask order."""
-    if basis.n > ENUMERATION_CARRIER_LIMIT:
-        raise CarrierTooLarge(f"carrier of {basis.n} exceeds the subset-scan bound")
-    out = []
-    for mask in range(1, 1 << basis.n):
-        if _mask_is_ideal(basis, mask):
-            out.append(frozenset(basis.carrier[i] for i in _bits(mask)))
-    return out
+    return [_members(basis, m) for m in _ideal_masks(basis).tolist()]
 
 
 def ideal_name(basis: AbstractBasis, ideal) -> str:
@@ -188,34 +196,30 @@ class IdealCompletion:
 
     def principal_basis(self) -> BasisMap:
         """The principal-ideal map, as a basis candidate for the completion."""
-        return BasisMap(
-            self.poset,
-            tuple(self.basis.carrier),
-            {b: self.name_of(principal_ideal(self.basis, b)) for b in self.basis.carrier},
-        )
+        into = {b: self.name_of(principal_ideal(self.basis, b)) for b in self.basis.carrier}
+        return BasisMap(self.poset, tuple(self.basis.carrier), into)
 
 
 def idl_poset(basis: AbstractBasis) -> IdealCompletion:
     """The ideals ordered by inclusion, as a finite poset.
 
-    Construction re-verifies that every ideal is rounded and, when there are
-    at most ``SUBSET_ENUM_LIMIT`` ideals, that directed unions of ideals are
-    ideals; past that many ideals the union check is skipped.
+    Every ideal is rounded, since the ideal filter bounds each member by
+    another (its b1 == b2 pair clause, the predicate of ``ideal_is_rounded``).
+    When there are at most ``SUBSET_ENUM_LIMIT`` ideals, construction also
+    re-verifies that directed unions of ideals are ideals; past that many
+    ideals the union check is skipped.
     """
-    ideals = enumerate_ideals(basis)
-    names = [ideal_name(basis, ideal) for ideal in ideals]
-    leq = [[a <= b for b in ideals] for a in ideals]
-    poset = FinPoset(tuple(names), leq)
-    for ideal in ideals:
-        if not ideal_is_rounded(basis, ideal):
-            raise NotABasis(f"ideal {ideal} is not rounded")
+    im = _ideal_masks(basis)
+    ideals = tuple(_members(basis, m) for m in im.tolist())
+    names = tuple(ideal_name(basis, ideal) for ideal in ideals)
+    poset = FinPoset(names, (im[:, None] & ~im[None, :]) == 0)
     if len(ideals) <= SUBSET_ENUM_LIMIT:
         dmasks, _ = poset.directed_table
-        for mask in dmasks.tolist():
-            union = frozenset().union(*(ideals[i] for i in _bits(mask)))
-            if not is_ideal(basis, union):
-                raise NotABasis("a directed union of ideals is not an ideal")
-    return IdealCompletion(basis, tuple(ideals), poset)
+        holds = ((dmasks[:, None] >> np.arange(len(im))) & 1) == 1
+        unions = np.bitwise_or.reduce(np.where(holds, im, 0), axis=1)
+        if len(_ideal_masks(basis, unions)) != len(unions):
+            raise NotABasis("a directed union of ideals is not an ideal")
+    return IdealCompletion(basis, ideals, poset)
 
 
 def idl_way_below(basis: AbstractBasis, i_ideal, j_ideal) -> bool:
@@ -247,11 +251,8 @@ def mediating_map(completion: IdealCompletion, assignment, target: FinPoset) -> 
         for b in basis.carrier:
             if basis.prec_holds(a, b) and not target.le(values[a], values[b]):
                 raise NotMonotone(f"assignment breaks monotonicity at {a!r} < {b!r}")
-    graph = []
-    for ideal in completion.ideals:
-        image = tuple(values[m] for m in ideal)
-        graph.append(target.index(directed_sup(target, image)))
-    out = MonoMap(completion.poset, target, graph)
+    sups = (directed_sup(target, [values[m] for m in ideal]) for ideal in completion.ideals)
+    out = MonoMap(completion.poset, target, [target.index(sup) for sup in sups])
     if not is_scott_continuous(out):
         raise NotMonotone("extension failed to be continuous")
     if basis.is_reflexive():
@@ -276,12 +277,10 @@ def directify(poset: FinPoset, fam) -> "DirectedFamily":
         base = [(label, fam.value(label)) for label in fam.labels]
     else:
         base = list(fam.items())
-    seen = set()
-    deduped = []
+    first = {}
     for label, value in base:
-        if value not in seen:
-            seen.add(value)
-            deduped.append((label, value))
+        first.setdefault(value, label)
+    deduped = [(label, value) for value, label in first.items()]
     if len(deduped) > SUBSET_ENUM_LIMIT:
         raise TooLarge(f"directification over more than 2^{SUBSET_ENUM_LIMIT} subsets")
     labels = []

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from dcpolab.cli import generate_corpus
 from dcpolab.finposet import closure_from_covers
+from dcpolab.idealcomp import AbstractBasis
 
 
 def naive_directed_subsets(poset):
@@ -55,6 +57,73 @@ def naive_way_below(poset, x, y, directed=None):
             if not any(poset.le(x, s) for s in sub):
                 return False
     return True
+
+
+def naive_is_ideal(basis, subset):
+    """Inhabited, down-closed, and every two members (equal ones too) lie
+    under a common member, checked per subset with ``prec_holds``."""
+    subset = frozenset(subset)
+    return (
+        bool(subset)
+        and all(a in subset for b in subset for a in basis.carrier if basis.prec_holds(a, b))
+        and all(
+            any(basis.prec_holds(b1, c) and basis.prec_holds(b2, c) for c in subset)
+            for b1 in subset
+            for b2 in subset
+        )
+    )
+
+
+def naive_ideals(basis):
+    """Every ideal, in ascending bitmask order of carrier positions."""
+    subsets = (
+        frozenset(c for i, c in enumerate(basis.carrier) if mask >> i & 1)
+        for mask in range(1, 1 << basis.n)
+    )
+    return [s for s in subsets if naive_is_ideal(basis, s)]
+
+
+def naive_validate_abstract_basis(basis):
+    """The abstract-basis axioms as nested loops, with the first counterexample
+    of each in loop order: transitivity (a, b, c), nullary interpolation (a),
+    binary interpolation (b, a1, a2), reported as in ``validate_abstract_basis``."""
+    els, le = basis.carrier, basis.prec_holds
+    for a, b, c in itertools.product(els, repeat=3):
+        if le(a, b) and le(b, c) and not le(a, c):
+            return False, ("transitivity", a, b, c)
+    for a in els:
+        if not any(le(x, a) for x in els):
+            return False, ("nullary-interpolation", a)
+    for b, a1, a2 in itertools.product(els, repeat=3):
+        if le(a1, b) and le(a2, b) and not any(le(a1, c) and le(a2, c) and le(c, b) for c in els):
+            return False, ("binary-interpolation", a1, a2, b)
+    return True, None
+
+
+@st.composite
+def relations(draw):
+    """Random relations on at most eight labels: reflexive, strict,
+    arbitrary, or transitive (a closure with random self-loops), the last
+    either as drawn or grounded (nullary interpolation forced), so that every
+    axiom of an abstract basis is hit both ways."""
+    n = draw(st.integers(0, 8))
+    odds = draw(st.integers(2, 5))  # each pair related with chance 1/odds
+    draws = draw(st.lists(st.integers(0, odds - 1), min_size=n * n, max_size=n * n))
+    rel = np.array(draws, dtype=np.int64).reshape(n, n) == 0
+    kind = draw(st.sampled_from(["reflexive", "strict", "arbitrary", "transitive", "grounded"]))
+    if kind == "reflexive":
+        rel |= np.eye(n, dtype=bool)
+    elif kind == "strict":
+        rel &= ~np.eye(n, dtype=bool)
+    elif kind in ("transitive", "grounded"):
+        loops = rel.diagonal().copy()
+        rel &= ~np.eye(n, dtype=bool)
+        for _ in range(n):
+            rel = rel | (rel @ rel)
+        rel[np.diag_indices(n)] |= loops
+        if kind == "grounded":  # a self-loop wherever nothing lies below
+            rel[np.diag_indices(n)] |= ~rel.any(axis=0)
+    return AbstractBasis(tuple(f"b{i}" for i in range(n)), rel)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import small_posets
 
+from dcpolab import expo
 from dcpolab.canonex import sierpinski
 from dcpolab.cli import generate_lattice_corpus
 from dcpolab.errors import NotALattice, TooLarge
@@ -290,6 +291,20 @@ def test_exp_basis_via_retract_matches_step_fibers():
             via_vals = sorted(via.value(b) for b in via.way_fiber(f))
             step_vals = sorted(step.value(b) for b in step.way_fiber(f))
             assert set(via_vals) == set(step_vals)
+
+
+def test_exp_basis_via_retract_enumerates_each_exponential_once(monkeypatch):
+    # one enumeration upstairs (shared with the step basis), one downstairs
+    calls = []
+
+    def counted(D, E, *args):
+        calls.append((D.n, E.n))
+        return monotone_graphs(D, E, *args)
+
+    monkeypatch.setattr(expo, "monotone_graphs", counted)
+    dom, cod = generate_lattice_corpus(61, 2, 3)
+    exp_basis_via_retract(dom, BasisMap.identity(dom), cod, BasisMap.identity(cod))
+    assert len(calls) == 2
 
 
 def test_exp_basis_via_retract_requires_lattice(two_chain):

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcpolab.canonex import sierpinski
+from conftest import naive_ideals, naive_is_ideal, naive_validate_abstract_basis, relations
+
+from dcpolab import idealcomp
+from dcpolab.canonex import powerset, sierpinski
 from dcpolab.cli import generate_basis_corpus
 from dcpolab.errors import CarrierTooLarge, NoJoins, NotMonotone
 from dcpolab.expo import enumerate_monotone_maps
@@ -108,10 +114,55 @@ def test_enumerate_ideals_reflexive_chain_and_antichain():
 
 
 def test_enumerate_ideals_guard():
-    carrier = tuple(f"c{i}" for i in range(13))
+    carrier = tuple(f"c{i}" for i in range(17))
     ab = AbstractBasis.from_pairs(carrier, [(c, c) for c in carrier])
     with pytest.raises(CarrierTooLarge):
         enumerate_ideals(ab)
+
+
+def test_enumerate_ideals_order_basis_of_powerset_4():
+    # sixteen labels: the whole 2^16 subset scan, one principal ideal each
+    lattice, _ = powerset(4)
+    P = lattice.poset
+    ab = basis_from_order(P, BasisMap.identity(P))
+    completion = idl_poset(ab)
+    assert set(completion.ideals) == {principal_ideal(ab, x) for x in P.elements}
+    assert idl_iso_algebraic_check(P, BasisMap.identity(P))
+
+
+@settings(deadline=None, max_examples=80)
+@given(relations())
+def test_ideals_and_their_order_match_the_naive_oracle(basis):
+    ideals = naive_ideals(basis)
+    assert enumerate_ideals(basis) == ideals
+    completion = idl_poset(basis)
+    assert list(completion.ideals) == ideals
+    assert completion.poset.leq.tolist() == [[a <= b for b in ideals] for a in ideals]
+
+
+@settings(deadline=None, max_examples=80)
+@given(relations(), st.data())
+def test_is_ideal_matches_the_naive_oracle(basis, data):
+    members = st.sets(st.sampled_from(basis.carrier)) if basis.n else st.just(set())
+    for subset in data.draw(st.lists(members, max_size=10)):
+        assert is_ideal(basis, subset) == naive_is_ideal(basis, subset)
+
+
+@settings(deadline=None, max_examples=200)
+@given(relations())
+def test_validate_abstract_basis_matches_the_loop_oracle(basis):
+    expected = naive_validate_abstract_basis(basis)
+    assert validate_abstract_basis(basis) == expected
+    with mock.patch.object(idealcomp, "_SLAB_CELLS", 1):  # one plane per slab
+        assert validate_abstract_basis(basis) == expected
+
+
+def test_is_ideal_past_a_machine_word():
+    carrier = tuple(f"c{i}" for i in range(70))
+    ab = AbstractBasis.from_pairs(carrier, [(c, c) for c in carrier] + [("c1", "c65")])
+    assert is_ideal(ab, {"c65", "c1"})
+    assert not is_ideal(ab, {"c65"})
+    assert not is_ideal(ab, {"c1", "c66"})
 
 
 def test_ideals_are_rounded():
