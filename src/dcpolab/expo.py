@@ -39,23 +39,33 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
     one row per map, sorted lexicographically.
 
     The rows grow one source element at a time along a linear extension; a
-    partial row takes value e when every predecessor's value lies below e.
-    Each kept partial row counts as one search node against the budget.
+    partial row takes value e when the values of x's lower covers lie below
+    e.  Partial rows are monotone already, so that is the same filter as
+    over every predecessor.  Each kept partial row counts as one search node
+    against the budget, which is checked before a level is allocated.
     """
     topo = sorted(range(D.n), key=lambda i: (bin(D.below_int[i]).count("1"), i))
+    column = {x: k for k, x in enumerate(topo)}
     rows = np.zeros((1, 0), dtype=np.intp)
     nodes = 0
     for k, x in enumerate(topo):
-        preds = [p for p in range(k) if D.leq[topo[p], x]]
-        below = rows[:, preds]
-        level = [np.empty((0, k + 1), dtype=np.intp)]  # the width survives an empty E
+        below = rows[:, [column[c] for c in np.flatnonzero(D.cover_matrix[:, x]).tolist()]]
+        kept = []
         for e in range(E.n):
-            kept = rows[E.leq[below, e].all(axis=1)]
-            nodes += len(kept)
+            kept.append(np.flatnonzero(E.leq[below, e].all(axis=1)))
+            nodes += len(kept[-1])
             if nodes > node_budget:
-                raise TooLarge("monotone-map search exceeded its node budget")
-            level.append(np.column_stack([kept, np.full(len(kept), e, dtype=np.intp)]))
-        rows = np.concatenate(level)
+                raise TooLarge(
+                    f"monotone-map search reached {nodes} nodes, past NODE_BUDGET ({node_budget})"
+                )
+        level = np.empty((sum(map(len, kept)), k + 1), dtype=np.intp)
+        start = 0
+        for e, idx in enumerate(kept):
+            stop = start + len(idx)
+            level[start:stop, :k] = rows[idx]
+            level[start:stop, k] = e
+            start = stop
+        rows = level
     graphs = np.empty_like(rows)
     graphs[:, topo] = rows
     graphs = graphs[np.lexsort(graphs.T[::-1])] if D.n else graphs  # lexsort needs a key
@@ -65,7 +75,7 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
 
 def enumerate_monotone_maps(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET):
     """Exactly the monotone maps D -> E, sorted by graph tuple."""
-    return [MonoMap(D, E, g, check=False) for g in monotone_graphs(D, E, node_budget).tolist()]
+    return MonoMap.from_rows(D, E, monotone_graphs(D, E, node_budget))
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,7 @@ class ExponentialPoset:
 
     @cached_property
     def maps(self) -> tuple:
-        D, E = self.source, self.target
-        return tuple(MonoMap(D, E, g, check=False) for g in self.graphs.tolist())
+        return tuple(MonoMap.from_rows(self.source, self.target, self.graphs))
 
     def index_of(self, graph) -> int:
         """Index in ``poset`` of the map with this graph."""
@@ -104,7 +113,9 @@ class ExponentialPoset:
 def exponential(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) -> ExponentialPoset:
     graphs = monotone_graphs(D, E, node_budget)
     if len(graphs) > CARRIER_BUDGET:
-        raise TooLarge(f"exponential carrier of {len(graphs)} maps exceeds the budget")
+        raise TooLarge(
+            f"exponential carrier of {len(graphs)} maps exceeds CARRIER_BUDGET ({CARRIER_BUDGET})"
+        )
     width = len(str(max(len(graphs) - 1, 0)))
     names = tuple(f"f{i:0{width}d}" for i in range(len(graphs)))
     return ExponentialPoset(D, E, graphs, FinPoset(names, componentwise_leq([E] * D.n, graphs)))

@@ -90,17 +90,19 @@ class FinPoset:
     def names_of(self, mask: int) -> tuple:
         return tuple(self.elements[i] for i in _bits(mask))
 
+    @cached_property
+    def cover_matrix(self):
+        """The Hasse diagram: entry (i, j) says j covers i, that is i < j with
+        nothing strictly between."""
+        lt = self.leq & ~np.eye(self.n, dtype=bool)
+        mat = lt & ~(lt @ lt)
+        mat.setflags(write=False)
+        return mat
+
     def covers(self):
         """Cover pairs (lower, upper) of the Hasse diagram, canonical order."""
-        n = self.n
-        lt = self.leq & ~np.eye(n, dtype=bool)
-        has_mid = lt @ lt
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if lt[i, j] and not has_mid[i, j]:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        pairs = np.argwhere(self.cover_matrix).tolist()
+        return [(self.elements[i], self.elements[j]) for i, j in pairs]
 
     @cached_property
     def bottom(self):
@@ -148,7 +150,9 @@ class FinPoset:
         if n == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         if n > SUBSET_ENUM_LIMIT:
-            raise TooLarge(f"2^{n} subsets exceeds the enumeration budget")
+            raise TooLarge(
+                f"2^{n} subsets of {n} elements exceed SUBSET_ENUM_LIMIT ({SUBSET_ENUM_LIMIT})"
+            )
         # Masks holding two members with no common upper bound among the
         # members are dropped; the larger of two comparable members bounds both.
         dmasks = bounded_masks(
@@ -299,6 +303,10 @@ def upper_bounds_mask(poset: FinPoset, subset) -> int:
     return ubs
 
 
+# Rows per ``tolist`` call in ``MonoMap.from_rows``.
+_ROW_CHUNK = 4096
+
+
 class MonoMap:
     """A monotone total map between finite posets, stored as an index graph."""
 
@@ -313,6 +321,29 @@ class MonoMap:
         self.source = source
         self.target = target
         self.graph = graph
+
+    @classmethod
+    def from_rows(cls, source: FinPoset, target: FinPoset, graphs) -> list:
+        """One map per row of an integer ``(m, source.n)`` array of graphs
+        already known to be monotone, in row order.
+
+        Shape and value range are checked once for the whole array, which
+        raises ``ShapeMismatch`` wherever the per-row constructor would.  Rows
+        are converted ``_ROW_CHUNK`` at a time, so no list of every row lives
+        beside the maps.
+        """
+        graphs = np.asarray(graphs, dtype=np.intp)
+        if graphs.ndim != 2 or graphs.shape[1] != source.n or graphs.size and not (
+            0 <= graphs.min() <= graphs.max() < target.n
+        ):
+            raise ShapeMismatch("graph does not assign every source element")
+        out, new = [], object.__new__
+        for lo in range(0, len(graphs), _ROW_CHUNK):
+            for g in graphs[lo : lo + _ROW_CHUNK].tolist():
+                m = new(cls)
+                m.source, m.target, m.graph = source, target, tuple(g)
+                out.append(m)
+        return out
 
     @classmethod
     def from_mapping(cls, source, target, mapping) -> "MonoMap":
@@ -378,20 +409,22 @@ def scott_continuity_of_graph(source, target, graph) -> bool:
 
     The image supremum is recomputed from scratch (least common upper bound)
     rather than read off the image's greatest member, so the directed-sup
-    clause is checked independently of the monotonicity shortcut.
+    clause is checked independently of the monotonicity shortcut.  Both
+    steps are counting products over every directed subset at once: u bounds
+    the image when no member maps outside the down-set of u, and a bound is
+    least when no bound lies outside its up-set.  No count exceeds a carrier
+    size, far below 2^24, so float32 holds them exactly and the products run
+    in BLAS.
     """
-    graph = tuple(graph)
-    if not _graph_is_monotone(source, target, graph):
+    g = np.asarray(graph, dtype=np.intp)
+    if not _graph_is_monotone(source, target, g):
         return False
     dmasks, sups = source.directed_table
-    full, above = target.full_mask(), target.above_int
-    for mask, sup in zip(dmasks.tolist(), sups.tolist()):
-        ubs = full
-        for i in _bits(mask):
-            ubs &= above[graph[i]]
-        if target.least_in(ubs) != graph[sup]:
-            return False
-    return True
+    members = ((dmasks[:, None] >> np.arange(source.n)) & 1).astype(np.float32)
+    not_le = (~target.leq).astype(np.float32)
+    ubs = members @ not_le[g] == 0
+    least = ubs & (ubs.astype(np.float32) @ not_le.T == 0)
+    return bool(least[np.arange(len(sups)), g[sups]].all())
 
 
 def is_scott_continuous(f: MonoMap) -> bool:

@@ -140,7 +140,10 @@ def _ideal_masks(basis: AbstractBasis, masks=None):
     n, rel = basis.n, basis.prec
     if masks is None:
         if n > SUBSET_ENUM_LIMIT:
-            raise CarrierTooLarge(f"carrier of {n} exceeds the subset-scan bound")
+            raise CarrierTooLarge(
+                f"carrier of {n} labels exceeds the subset-scan bound"
+                f" SUBSET_ENUM_LIMIT ({SUBSET_ENUM_LIMIT})"
+            )
         masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[masks != 0]
     for b in range(n):
@@ -282,7 +285,10 @@ def directify(poset: FinPoset, fam) -> "DirectedFamily":
         first.setdefault(value, label)
     deduped = [(label, value) for value, label in first.items()]
     if len(deduped) > SUBSET_ENUM_LIMIT:
-        raise TooLarge(f"directification over more than 2^{SUBSET_ENUM_LIMIT} subsets")
+        raise TooLarge(
+            f"directification of {len(deduped)} values exceeds SUBSET_ENUM_LIMIT"
+            f" ({SUBSET_ENUM_LIMIT})"
+        )
     labels = []
     mapping = {}
     for mask in range(1 << len(deduped)):

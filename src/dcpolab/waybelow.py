@@ -214,17 +214,15 @@ def _require_host(poset: FinPoset, basis: BasisMap):
 
 def _fibers_ok(poset: FinPoset, indices, relation) -> bool:
     """For every x, the basis values related to x form a directed subset
-    whose supremum is x."""
+    whose supremum is x.
+
+    That holds exactly when x is itself in its fiber and every member lies
+    below x: a greatest member bounds every pair and is the supremum.
+    """
     image = np.zeros(poset.n, dtype=bool)
     image[indices] = True
     fibers = relation & image[:, None]
-    for x, name in enumerate(poset.elements):
-        try:
-            if directed_sup(poset, _row_mask(fibers[:, x])) != name:
-                return False
-        except NotDirected:
-            return False
-    return True
+    return bool(fibers.diagonal().all() and not (fibers & ~poset.leq).any())
 
 
 def check_small_basis(poset: FinPoset, basis: BasisMap) -> bool:

@@ -5,19 +5,24 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import lub_oracle, naive_directed_subsets, small_posets
 
+from dcpolab import finposet
 from dcpolab.cli import generate_corpus
 from dcpolab.errors import (
+    CarrierTooLarge,
     CycleDetected,
     DuplicateElement,
     NotDirected,
     NotMonotone,
     ShapeMismatch,
+    TooLarge,
     UnknownElement,
 )
+from dcpolab.expo import exponential, monotone_graphs
 from dcpolab.finposet import (
     EpPair,
     FinPoset,
@@ -34,6 +39,7 @@ from dcpolab.finposet import (
     upper_bounds_mask,
     validate_ep_pair,
 )
+from dcpolab.idealcomp import AbstractBasis, directify, enumerate_ideals
 
 
 def test_closure_singleton():
@@ -142,6 +148,74 @@ def test_monomap_requires_total(two_chain):
             MonoMap(two_chain, two_chain, graph)
 
 
+def test_from_rows_matches_the_per_row_constructor(diamond, monkeypatch):
+    monkeypatch.setattr(finposet, "_ROW_CHUNK", 5)  # several chunks, the last one short
+    graphs = monotone_graphs(diamond, diamond)
+    maps = MonoMap.from_rows(diamond, diamond, graphs)
+    assert len(graphs) % 5 and maps == [MonoMap(diamond, diamond, g) for g in graphs.tolist()]
+    assert all(type(v) is int for m in maps for v in m.graph)
+    assert MonoMap.from_rows(diamond, diamond, graphs[:0]) == []
+
+
+@pytest.mark.parametrize("rows", [[(0,)], [(0, 1, 1)], [(0, 1), (0, 2)], [(1, 1), (0, -1)]])
+def test_from_rows_refuses_what_the_constructor_refuses(two_chain, rows):
+    with pytest.raises(ShapeMismatch):
+        MonoMap(two_chain, two_chain, rows[-1])
+    with pytest.raises(ShapeMismatch):
+        MonoMap.from_rows(two_chain, two_chain, np.array(rows))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_posets())
+def test_cover_matrix_is_the_hasse_diagram(poset):
+    def lt(a, b):
+        return a != b and poset.le(a, b)
+
+    els = poset.elements
+    naive = [(a, b) for a in els for b in els if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in els)]
+    assert not poset.cover_matrix.flags.writeable
+    assert poset.covers() == naive
+
+
+def _antichain(n):
+    return closure_from_covers(tuple(f"a{i}" for i in range(n)), [])
+
+
+def _chain(n):
+    names = tuple(f"c{i}" for i in range(n))
+    return closure_from_covers(names, list(zip(names, names[1:])))
+
+
+@pytest.mark.parametrize(
+    "call, error, budget, limit, size",
+    [
+        (lambda: monotone_graphs(_antichain(1), _antichain(9), node_budget=8), TooLarge, "NODE_BUDGET", 8, 9),
+        (lambda: exponential(_antichain(4), _antichain(9)), TooLarge, "CARRIER_BUDGET", 5000, 6561),
+        (lambda: _antichain(17).directed_table, TooLarge, "SUBSET_ENUM_LIMIT", 16, 17),
+        (
+            lambda: enumerate_ideals(AbstractBasis(tuple(range(17)), np.eye(17, dtype=bool))),
+            CarrierTooLarge,
+            "SUBSET_ENUM_LIMIT",
+            16,
+            17,
+        ),
+        (
+            lambda: directify(_chain(17), dict(enumerate(_chain(17).elements))),
+            TooLarge,
+            "SUBSET_ENUM_LIMIT",
+            16,
+            17,
+        ),
+    ],
+    ids=["node-budget", "carrier-budget", "directed-table", "ideal-scan", "directify"],
+)
+def test_too_large_names_the_budget_its_limit_and_the_size(call, error, budget, limit, size):
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert f"{budget} ({limit})" in message and str(size) in message.replace(f"({limit})", "")
+
+
 def test_scott_continuous_identity_and_constant(diamond):
     assert is_scott_continuous(MonoMap.identity(diamond))
     const = MonoMap.from_mapping(diamond, diamond, lambda _x: "a")
@@ -162,6 +236,39 @@ def test_scott_continuity_equals_monotonicity_exhaustively(small_corpus):
             assert scott_continuity_of_graph(poset, poset, graph) == naive_monotone(
                 poset, graph
             )
+
+
+def _continuity_oracle(source, target, graph):
+    """Monotone on every related pair, and the image of every naive directed
+    subset has the image of its least upper bound as its own, both by
+    ``lub_oracle``."""
+
+    def image(names):
+        return [target.elements[graph[source.index(x)]] for x in names]
+
+    els = source.elements
+    if not all(target.le(*image([a, b])) for a in els for b in els if source.le(a, b)):
+        return False
+    return all(
+        lub_oracle(target, image(sub)) == image([lub_oracle(source, sub)])[0]
+        for sub in naive_directed_subsets(source)
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_posets().filter(lambda p: p.n <= 6), small_posets(), st.data())
+def test_scott_continuity_matches_the_lub_oracle(source, target, data):
+    assume(target.n or not source.n)
+    if not source.n:
+        graph = []
+    elif target.n**source.n <= 4096 and data.draw(st.booleans()):
+        graphs = monotone_graphs(source, target)
+        graph = graphs[data.draw(st.integers(0, len(graphs) - 1))].tolist()
+        if source.n and data.draw(st.booleans()):  # one coordinate moved, often breaking monotonicity
+            graph[data.draw(st.integers(0, source.n - 1))] = data.draw(st.integers(0, target.n - 1))
+    else:
+        graph = data.draw(st.lists(st.integers(0, target.n - 1), min_size=source.n, max_size=source.n))
+    assert scott_continuity_of_graph(source, target, graph) == _continuity_oracle(source, target, graph)
 
 
 def test_validate_ep_pair_identity(diamond):

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lub_oracle, naive_directed_sups, naive_way_below, small_posets
 
@@ -21,7 +22,7 @@ from dcpolab.errors import (
     ShapeMismatch,
 )
 from dcpolab.expo import enumerate_monotone_maps
-from dcpolab.finposet import EpPair, MonoMap, closure_from_covers, validate_ep_pair
+from dcpolab.finposet import EpPair, MonoMap, closure_from_covers, directed_sup, validate_ep_pair
 from dcpolab.idealcomp import (
     AbstractBasis,
     basis_from_order,
@@ -31,6 +32,7 @@ from dcpolab.idealcomp import (
 from dcpolab.waybelow import (
     BasisMap,
     ContinuityData,
+    _fibers_ok,
     approximates,
     basis_contains_all_compacts_check,
     check_continuity_data,
@@ -213,6 +215,40 @@ def test_continuity_data_down_sets(small_corpus):
 def test_continuity_data_missing_sup(two_chain):
     bad = ContinuityData(two_chain, {"bot": ("bot",), "top": ("bot",)})
     assert not check_continuity_data(two_chain, bad)
+
+
+def _fibers_oracle(poset, indices, relation):
+    """Each fiber, as names, has ``directed_sup`` x; not directed is a failure."""
+    for x, name in enumerate(poset.elements):
+        fiber = [poset.elements[b] for b in sorted(set(indices)) if relation[b, x]]
+        try:
+            if directed_sup(poset, fiber) != name:
+                return False
+        except NotDirected:
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=120)
+@given(small_posets(), st.data())
+def test_fibers_ok_matches_directed_sup_per_fiber(poset, data):
+    n = poset.n
+    cells = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    kind = data.draw(st.sampled_from(["leq", "way_below", "inside_leq", "arbitrary"]))
+    if kind == "leq":
+        relation = poset.leq
+    elif kind == "way_below":
+        relation = way_below_matrix(poset)
+    else:
+        drawn = np.array(data.draw(cells), dtype=bool).reshape(n, n)
+        relation = drawn | np.eye(n, dtype=bool)
+        if kind == "inside_leq":
+            relation &= poset.leq
+    # Most images miss nothing or one element, so both verdicts come up.
+    missing = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=min(n, 3)))
+    indices = [i for i in range(n) if i not in missing]
+    expected = _fibers_oracle(poset, indices, relation)
+    assert _fibers_ok(poset, np.array(indices, dtype=np.intp), relation) == expected
 
 
 def test_small_basis_identity(medium_corpus):
