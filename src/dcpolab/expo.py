@@ -55,9 +55,8 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
             kept.append(np.flatnonzero(E.leq[below, e].all(axis=1)))
             nodes += len(kept[-1])
             if nodes > node_budget:
-                raise TooLarge(
-                    f"monotone-map search reached {nodes} nodes, past NODE_BUDGET ({node_budget})"
-                )
+                budget = "NODE_BUDGET" if node_budget == NODE_BUDGET else "node_budget"
+                raise TooLarge(f"monotone-map search reached {nodes} nodes, past {budget} ({node_budget})")
         level = np.empty((sum(map(len, kept)), k + 1), dtype=np.intp)
         start = 0
         for e, idx in enumerate(kept):

@@ -36,7 +36,7 @@ class FinPoset:
     it is validated to be reflexive, transitive and antisymmetric.
     """
 
-    __slots__ = ("elements", "leq", "_index", "above_int", "below_int", "__dict__")
+    __slots__ = ("elements", "n", "leq", "_index", "above_int", "below_int", "__dict__")
 
     def __init__(self, elements, leq):
         elements = tuple(elements)
@@ -54,14 +54,11 @@ class FinPoset:
                 raise InvalidPoset("order is not transitive")
         mat.setflags(write=False)
         self.elements = elements
+        self.n = n
         self.leq = mat
         self._index = {name: i for i, name in enumerate(elements)}
         self.above_int = [_row_mask(mat[i]) for i in range(n)]
         self.below_int = [_row_mask(mat[:, i]) for i in range(n)]
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
 
     def index(self, name) -> int:
         try:
@@ -307,6 +304,14 @@ def upper_bounds_mask(poset: FinPoset, subset) -> int:
 _ROW_CHUNK = 4096
 
 
+def _require_assignment(source: FinPoset, target: FinPoset, width, bounds):
+    """Refuse graphs that are not ``source.n`` wide or whose values, spanning
+    ``bounds`` = (least, greatest), or None when there are none, are not
+    target indices."""
+    if width != source.n or bounds is not None and not 0 <= bounds[0] <= bounds[1] < target.n:
+        raise ShapeMismatch("graph does not assign every source element")
+
+
 class MonoMap:
     """A monotone total map between finite posets, stored as an index graph."""
 
@@ -314,13 +319,14 @@ class MonoMap:
 
     def __init__(self, source: FinPoset, target: FinPoset, graph, *, check=True):
         graph = tuple(map(int, graph))
-        if len(graph) != source.n or graph and not 0 <= min(graph) <= max(graph) < target.n:
-            raise ShapeMismatch("graph does not assign every source element")
+        _require_assignment(source, target, len(graph), (min(graph), max(graph)) if graph else None)
         if check and not _graph_is_monotone(source, target, graph):
             raise NotMonotone("assignment is not monotone")
-        self.source = source
-        self.target = target
-        self.graph = graph
+        self._fill(source, target, graph)
+
+    def _fill(self, source: FinPoset, target: FinPoset, graph: tuple):
+        """The one place the slots are set, from a tuple of ints already checked."""
+        self.source, self.target, self.graph = source, target, graph
 
     @classmethod
     def from_rows(cls, source: FinPoset, target: FinPoset, graphs) -> list:
@@ -333,15 +339,13 @@ class MonoMap:
         beside the maps.
         """
         graphs = np.asarray(graphs, dtype=np.intp)
-        if graphs.ndim != 2 or graphs.shape[1] != source.n or graphs.size and not (
-            0 <= graphs.min() <= graphs.max() < target.n
-        ):
-            raise ShapeMismatch("graph does not assign every source element")
-        out, new = [], object.__new__
+        width = graphs.shape[1] if graphs.ndim == 2 else None
+        _require_assignment(source, target, width, (graphs.min(), graphs.max()) if graphs.size else None)
+        out, new, fill = [], object.__new__, cls._fill
         for lo in range(0, len(graphs), _ROW_CHUNK):
             for g in graphs[lo : lo + _ROW_CHUNK].tolist():
                 m = new(cls)
-                m.source, m.target, m.graph = source, target, tuple(g)
+                fill(m, source, target, tuple(g))
                 out.append(m)
         return out
 

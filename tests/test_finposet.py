@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import lub_oracle, naive_directed_subsets, small_posets
 
-from dcpolab import finposet
+from dcpolab import expo, finposet
 from dcpolab.cli import generate_corpus
 from dcpolab.errors import (
     CarrierTooLarge,
@@ -189,7 +189,7 @@ def _chain(n):
 @pytest.mark.parametrize(
     "call, error, budget, limit, size",
     [
-        (lambda: monotone_graphs(_antichain(1), _antichain(9), node_budget=8), TooLarge, "NODE_BUDGET", 8, 9),
+        (lambda: monotone_graphs(_antichain(1), _antichain(9), node_budget=8), TooLarge, "node_budget", 8, 9),
         (lambda: exponential(_antichain(4), _antichain(9)), TooLarge, "CARRIER_BUDGET", 5000, 6561),
         (lambda: _antichain(17).directed_table, TooLarge, "SUBSET_ENUM_LIMIT", 16, 17),
         (
@@ -214,6 +214,14 @@ def test_too_large_names_the_budget_its_limit_and_the_size(call, error, budget, 
         call()
     message = str(info.value)
     assert f"{budget} ({limit})" in message and str(size) in message.replace(f"({limit})", "")
+
+
+def test_default_node_budget_message_names_the_constant(monkeypatch):
+    # A caller's own node_budget is named as such (the "node-budget" case above).
+    monkeypatch.setattr(expo, "NODE_BUDGET", 8)
+    monkeypatch.setattr(monotone_graphs, "__defaults__", (8,))
+    with pytest.raises(TooLarge, match=r"reached 9 nodes, past NODE_BUDGET \(8\)"):
+        monotone_graphs(_antichain(1), _antichain(9))
 
 
 def test_scott_continuous_identity_and_constant(diamond):
