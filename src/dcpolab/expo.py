@@ -149,24 +149,27 @@ def _require_lattice(P: FinPoset):
         raise NotALattice("poset lacks a least element or binary joins")
 
 
-def _join_closure(bottom, generators, join, le):
-    """Close (label, value) generators under finite joins, starting at bottom.
+def _join_closure(target: FinPoset, width: int, labels, rows):
+    """Close generator rows under pointwise joins, starting at the all-bottom row.
 
-    Returns each achieved join, in sorted order, paired with the saturated set
-    of generator labels whose values lie below it.
+    ``rows`` holds one row of ``width`` target indices per label.  Each round
+    joins only the rows found in the last round with every generator.  Returns
+    each achieved row, in sorted order, paired with the saturated set of
+    labels whose rows lie below it.
     """
-    achieved = {bottom}
-    frontier = [bottom]
-    values = [v for _, v in generators]
-    while frontier:
-        v = frontier.pop()
-        for w in values:
-            j = join(v, w)
-            if j not in achieved:
-                achieved.add(j)
-                frontier.append(j)
+    gens = np.array(rows, dtype=np.intp).reshape(len(labels), width)
+    achieved = {(target.bottom,) * width}
+    frontier = np.array(list(achieved), dtype=np.intp)
+    while len(frontier):
+        joins = target.lub_table[frontier[:, None], gens].reshape(len(frontier) * len(gens), width)
+        fresh = {tuple(row) for row in joins.tolist()} - achieved
+        achieved |= fresh
+        frontier = np.array(list(fresh), dtype=np.intp).reshape(len(fresh), width)
+    ordered = sorted(achieved)
+    below = target.leq[gens, np.array(ordered, dtype=np.intp).reshape(len(ordered), 1, width)]
     return [
-        (v, frozenset(label for label, g in generators if le(g, v))) for v in sorted(achieved)
+        (row, frozenset(l for l, hit in zip(labels, hits) if hit))
+        for row, hits in zip(ordered, below.all(axis=2).tolist())
     ]
 
 
@@ -179,17 +182,9 @@ def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> 
 def _step_basis_in(expo: ExponentialPoset, beta_d: BasisMap, beta_e: BasisMap) -> BasisMap:
     """``step_basis`` inside an exponential that is already built."""
     D, E = expo.source, expo.target
-    generators = [
-        ((b, c), step_function(D, E, beta_d.value(b), beta_e.value(c)).graph)
-        for b in beta_d.labels
-        for c in beta_e.labels
-    ]
-    closure = _join_closure(
-        (E.bottom,) * D.n,
-        generators,
-        expo.join_graph,
-        lambda g, h: expo.poset.leq[expo.index_of(g), expo.index_of(h)],
-    )
+    labels = [(b, c) for b in beta_d.labels for c in beta_e.labels]
+    steps = [step_function(D, E, beta_d.value(b), beta_e.value(c)).graph for b, c in labels]
+    closure = _join_closure(E, D.n, labels, steps)
     # Maps are named in sorted graph order, so the closure is in canonical order.
     into = {label: expo.poset.elements[expo.index_of(g)] for g, label in closure}
     return BasisMap(expo.poset, tuple(into), into)
@@ -203,26 +198,21 @@ class JoinClosedBasis:
     bot_label: object
 
     def join(self, l1, l2):
-        P = self.basis.poset
-        v = P.lub_table[P.index(self.basis.value(l1)), P.index(self.basis.value(l2))]
-        target = P.elements[int(v)]
-        for label in self.basis.labels:
-            if self.basis.value(label) == target:
-                return label
-        raise NotALattice("join escaped the closed basis")
+        beta = self.basis
+        P = beta.poset
+        v = P.lub_table[P.index(beta.value(l1)), P.index(beta.value(l2))]
+        hits = np.flatnonzero(beta.indices == v)
+        if not len(hits):
+            raise NotALattice("join escaped the closed basis")
+        return beta.labels[hits[0]]
 
 
 def close_basis_under_joins(P: FinPoset, beta: BasisMap) -> JoinClosedBasis:
     """Directify a basis on a lattice; the result is join-closed by design."""
     _require_lattice(P)
-    closure = _join_closure(
-        P.bottom,
-        [(b, P.index(beta.value(b))) for b in beta.labels],
-        lambda v, w: int(P.lub_table[v, w]),
-        lambda u, v: P.leq[u, v],
-    )
-    into = {label: P.elements[v] for v, label in closure}
-    bot_label = next(label for v, label in closure if v == P.bottom)
+    closure = _join_closure(P, 1, beta.labels, beta.indices)
+    into = {label: P.elements[v] for (v,), label in closure}
+    bot_label = next(label for (v,), label in closure if v == P.bottom)
     return JoinClosedBasis(BasisMap(P, tuple(into), into), bot_label)
 
 
@@ -234,30 +224,19 @@ def idl_supcomplete_check(P: FinPoset, closed: JoinClosedBasis) -> bool:
     is exactly {b | some c in I, d in J have value(b) <= value(c v d)}.
     """
     beta = closed.basis
-    ab = basis_from_order(P, beta)
-    completion = idl_poset(ab)
+    completion = idl_poset(basis_from_order(P, beta))
     pos = completion.poset
     if not pos.is_lattice():
         return False
-    bot_ideal = frozenset(
-        b for b in beta.labels if P.le(beta.value(b), beta.value(closed.bot_label))
-    )
-    if completion.name_of(bot_ideal) != pos.elements[pos.bottom]:
+    idx = beta.indices
+    # member[i, b]: ideal i holds label b, in the completion's element order
+    member = np.array([[b in I for b in beta.labels] for I in completion.ideals], dtype=np.intp)
+    if (P.leq[idx, P.index(beta.value(closed.bot_label))] != member[pos.bottom]).any():
         return False
-    for i, I in enumerate(completion.ideals):
-        for j, J in enumerate(completion.ideals):
-            K = frozenset(
-                b
-                for b in beta.labels
-                if any(
-                    P.le(beta.value(b), beta.value(closed.join(c, d)))
-                    for c in I
-                    for d in J
-                )
-            )
-            if completion.name_of(K) != pos.elements[int(pos.lub_table[i, j])]:
-                return False
-    return True
+    # under[b, c, d]: value(b) <= value(c) v value(d)
+    under = P.leq[idx[:, None, None], P.lub_table[np.ix_(idx, idx)]].astype(np.intp)
+    joins = np.einsum("ic,bcd,jd->ijb", member, under, member) > 0
+    return bool((joins == member[pos.lub_table]).all())
 
 
 def exp_basis_via_retract(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> BasisMap:

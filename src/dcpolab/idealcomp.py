@@ -71,10 +71,15 @@ class AbstractBasis:
     def n(self) -> int:
         return len(self.carrier)
 
+    @cached_property
+    def _index(self) -> dict:
+        """Carrier position of each member; the first one wins, as in ``tuple.index``."""
+        return {c: i for i, c in reversed(tuple(enumerate(self.carrier)))}
+
     def index(self, member) -> int:
         try:
-            return self.carrier.index(member)
-        except ValueError:
+            return self._index[member]
+        except (KeyError, TypeError):
             raise UnknownElement(f"{member!r} is not in the carrier") from None
 
     def prec_holds(self, a, b) -> bool:
@@ -250,10 +255,11 @@ def mediating_map(completion: IdealCompletion, assignment, target: FinPoset) -> 
     basis = completion.basis
     getter = assignment.__getitem__ if hasattr(assignment, "__getitem__") else assignment
     values = {b: getter(b) for b in basis.carrier}
-    for a in basis.carrier:
-        for b in basis.carrier:
-            if basis.prec_holds(a, b) and not target.le(values[a], values[b]):
-                raise NotMonotone(f"assignment breaks monotonicity at {a!r} < {b!r}")
+    v = [target.index(values[b]) for b in basis.carrier]
+    broken = np.argwhere(basis.prec & ~target.leq[np.ix_(v, v)])
+    if len(broken):
+        a, b = (basis.carrier[i] for i in broken[0])
+        raise NotMonotone(f"assignment breaks monotonicity at {a!r} < {b!r}")
     sups = (directed_sup(target, [values[m] for m in ideal]) for ideal in completion.ideals)
     out = MonoMap(completion.poset, target, [target.index(sup) for sup in sups])
     if not is_scott_continuous(out):
@@ -289,15 +295,13 @@ def directify(poset: FinPoset, fam) -> "DirectedFamily":
             f"directification of {len(deduped)} values exceeds SUBSET_ENUM_LIMIT"
             f" ({SUBSET_ENUM_LIMIT})"
         )
-    labels = []
-    mapping = {}
-    for mask in range(1 << len(deduped)):
-        subset = tuple(deduped[i][0] for i in _bits(mask))
-        j = poset.bottom
-        for i in _bits(mask):
-            j = int(poset.lub_table[j, poset.index(deduped[i][1])])
-        labels.append(subset)
-        mapping[subset] = poset.elements[j]
+    # Doubling: subset 2^i + m adds the i-th value to subset m, so its join is
+    # one gather off the join of m.
+    labels, joins = [()], np.array([poset.bottom], dtype=np.intp)
+    for label, value in deduped:
+        labels += [subset + (label,) for subset in labels]
+        joins = np.concatenate([joins, poset.lub_table[joins, poset.index(value)]])
+    mapping = dict(zip(labels, (poset.elements[j] for j in joins.tolist())))
     return DirectedFamily(poset, tuple(labels), mapping)
 
 

@@ -3,6 +3,10 @@
 The oracles here deliberately avoid the package's bitmask/numpy machinery:
 they use only the public ``le`` predicate and plain itertools, so agreement
 between an oracle and a production routine is a genuine two-route check.
+The exceptions are the loop versions of replaced routines
+(``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``):
+they read the same ``lub_table`` as the vectorised code, and pin its outputs
+to theirs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 from dcpolab.cli import generate_corpus
 from dcpolab.finposet import closure_from_covers
-from dcpolab.idealcomp import AbstractBasis
+from dcpolab.idealcomp import AbstractBasis, basis_from_order, idl_poset
 
 
 def naive_directed_subsets(poset):
@@ -98,6 +102,77 @@ def naive_validate_abstract_basis(basis):
         if le(a1, b) and le(a2, b) and not any(le(a1, c) and le(a2, c) and le(c, b) for c in els):
             return False, ("binary-interpolation", a1, a2, b)
     return True, None
+
+
+def frontier_join_closure(bottom, generators, join, le):
+    """The frontier join closure that ``expo._join_closure`` replaced, with
+    the join and the order passed in as callbacks.
+
+    Returns each achieved join, in sorted order, paired with the saturated set
+    of generator labels whose values lie below it.
+    """
+    achieved = {bottom}
+    frontier = [bottom]
+    values = [v for _, v in generators]
+    while frontier:
+        v = frontier.pop()
+        for w in values:
+            j = join(v, w)
+            if j not in achieved:
+                achieved.add(j)
+                frontier.append(j)
+    return [
+        (v, frozenset(label for label, g in generators if le(g, v))) for v in sorted(achieved)
+    ]
+
+
+def fold_directify(poset, fam):
+    """The labels and mapping of ``directify``, folding the join of every
+    subset bit by bit from the bottom; no ``NoJoins`` or size guard."""
+    first = {}
+    for label, value in fam.items():
+        first.setdefault(value, label)
+    deduped = [(label, value) for value, label in first.items()]
+    labels = []
+    mapping = {}
+    for mask in range(1 << len(deduped)):
+        bits = [i for i in range(len(deduped)) if mask >> i & 1]
+        subset = tuple(deduped[i][0] for i in bits)
+        j = poset.bottom
+        for i in bits:
+            j = int(poset.lub_table[j, poset.index(deduped[i][1])])
+        labels.append(subset)
+        mapping[subset] = poset.elements[j]
+    return tuple(labels), mapping
+
+
+def nested_supcomplete_check(P, closed):
+    """``idl_supcomplete_check`` by name: each K(I, J) from ``P.le`` and the
+    label-level join, in four nested loops."""
+    beta = closed.basis
+    completion = idl_poset(basis_from_order(P, beta))
+    pos = completion.poset
+    if not pos.is_lattice():
+        return False
+    bot_ideal = frozenset(
+        b for b in beta.labels if P.le(beta.value(b), beta.value(closed.bot_label))
+    )
+    if completion.name_of(bot_ideal) != pos.elements[pos.bottom]:
+        return False
+    for i, I in enumerate(completion.ideals):
+        for j, J in enumerate(completion.ideals):
+            K = frozenset(
+                b
+                for b in beta.labels
+                if any(
+                    P.le(beta.value(b), beta.value(closed.join(c, d)))
+                    for c in I
+                    for d in J
+                )
+            )
+            if completion.name_of(K) != pos.elements[int(pos.lub_table[i, j])]:
+                return False
+    return True
 
 
 @st.composite

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_posets
+from conftest import frontier_join_closure, nested_supcomplete_check, small_posets
 
 from dcpolab import expo
 from dcpolab.canonex import sierpinski
 from dcpolab.cli import generate_lattice_corpus
-from dcpolab.errors import NotALattice, TooLarge
+from dcpolab.errors import NotALattice, OrderTheoryError, TooLarge
 from dcpolab.expo import (
+    JoinClosedBasis,
     close_basis_under_joins,
     enumerate_monotone_maps,
     exp_basis_via_retract,
@@ -316,3 +317,133 @@ def test_exp_basis_via_retract_requires_lattice(two_chain):
             no_joins,
             BasisMap.identity(no_joins),
         )
+
+
+LATTICES = generate_lattice_corpus(67, 40, 5)
+
+
+@st.composite
+def lattice_sub_bases(draw):
+    """A corpus lattice with a random basis on it: labels in random number,
+    duplicate values allowed, every element covered or not."""
+    P = draw(st.sampled_from(LATTICES))
+    values = draw(st.lists(st.sampled_from(P.elements), max_size=P.n + 2))
+    if draw(st.booleans()):
+        values = draw(st.permutations(list(P.elements) + values))
+    labels = tuple(f"l{i}" for i in range(len(values)))
+    return P, BasisMap(P, labels, dict(zip(labels, values)))
+
+
+def callback_step_basis(D, beta_d, E, beta_e):
+    """``step_basis`` through the callback closure: labels and values."""
+    ex = exponential(D, E)
+    generators = [
+        ((b, c), step_function(D, E, beta_d.value(b), beta_e.value(c)).graph)
+        for b in beta_d.labels
+        for c in beta_e.labels
+    ]
+    closure = frontier_join_closure(
+        (E.bottom,) * D.n,
+        generators,
+        ex.join_graph,
+        lambda g, h: ex.poset.leq[ex.index_of(g), ex.index_of(h)],
+    )
+    into = {label: ex.poset.elements[ex.index_of(g)] for g, label in closure}
+    return tuple(into), into
+
+
+def callback_close_basis(P, beta):
+    """``close_basis_under_joins`` through the callback closure."""
+    closure = frontier_join_closure(
+        P.bottom,
+        [(b, P.index(beta.value(b))) for b in beta.labels],
+        lambda v, w: int(P.lub_table[v, w]),
+        lambda u, v: P.leq[u, v],
+    )
+    into = {label: P.elements[v] for v, label in closure}
+    return tuple(into), into, next(label for v, label in closure if v == P.bottom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_sub_bases(), lattice_sub_bases())
+def test_step_basis_matches_callback_closure(source, target):
+    (D, beta_d), (E, beta_e) = source, target
+    basis = step_basis(D, beta_d, E, beta_e)
+    assert (basis.labels, basis.into) == callback_step_basis(D, beta_d, E, beta_e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_sub_bases())
+def test_close_basis_under_joins_matches_callback_closure(pair):
+    P, beta = pair
+    closed = close_basis_under_joins(P, beta)
+    labels, into, bot_label = callback_close_basis(P, beta)
+    assert (closed.basis.labels, closed.basis.into, closed.bot_label) == (labels, into, bot_label)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except OrderTheoryError as exc:  # the two routes must fail alike, too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_sub_bases(), st.data())
+def test_idl_supcomplete_verdict_matches_nested_loops(pair, data):
+    # a bottom label drawn at random makes some verdicts false
+    P, beta = pair
+    closed = close_basis_under_joins(P, beta)
+    if data.draw(st.booleans()):
+        closed = JoinClosedBasis(closed.basis, data.draw(st.sampled_from(closed.basis.labels)))
+    expect = _outcome(nested_supcomplete_check, P, closed)
+    assert _outcome(idl_supcomplete_check, P, closed) == expect
+
+
+TWO = closure_from_covers(("bot", "top"), [("bot", "top")])
+POINT = closure_from_covers(("p",), [])
+NO_LABELS = BasisMap(TWO, (), {})
+
+
+@pytest.mark.parametrize(
+    "D, beta_d, E, beta_e, label",
+    [
+        (EMPTY, BasisMap.identity(EMPTY), TWO, BasisMap.identity(TWO), frozenset()),
+        (TWO, BasisMap.identity(TWO), TWO, NO_LABELS, frozenset()),
+        (TWO, NO_LABELS, TWO, BasisMap.identity(TWO), frozenset()),
+        (
+            TWO,
+            BasisMap.identity(TWO),
+            POINT,
+            BasisMap.identity(POINT),
+            frozenset({("bot", "p"), ("top", "p")}),
+        ),
+    ],
+    ids=["empty-source", "no-target-labels", "no-source-labels", "one-element-target"],
+)
+def test_step_basis_degenerate_cases_have_one_map(D, beta_d, E, beta_e, label):
+    basis = step_basis(D, beta_d, E, beta_e)
+    assert basis.labels == (label,)
+    assert basis.into == {label: "f0"}
+
+
+def test_close_basis_under_joins_without_labels_is_the_bottom():
+    closed = close_basis_under_joins(TWO, NO_LABELS)
+    assert closed.basis.labels == (frozenset(),)
+    assert closed.basis.into == {frozenset(): "bot"}
+    assert closed.bot_label == frozenset()
+
+
+def test_close_basis_under_joins_on_one_element_lattice():
+    closed = close_basis_under_joins(POINT, BasisMap.identity(POINT))
+    assert closed.basis.into == {frozenset({"p"}): "p"}
+    assert closed.bot_label == frozenset({"p"})
+
+
+def test_join_closed_basis_join_refuses_an_escaping_join(diamond):
+    into = {"x": "a", "y": "b", "t": "top", "t2": "top"}
+    closed = JoinClosedBasis(BasisMap(diamond, ("x", "y", "t", "t2"), into), "x")
+    assert closed.join("x", "t2") == "t"  # the first label holding the join
+    open_basis = JoinClosedBasis(BasisMap(diamond, ("x", "y"), {"x": "a", "y": "b"}), "x")
+    with pytest.raises(NotALattice, match="join escaped the closed basis"):
+        open_basis.join("x", "y")

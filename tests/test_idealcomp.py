@@ -4,16 +4,23 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_ideals, naive_is_ideal, naive_validate_abstract_basis, relations
+from conftest import (
+    fold_directify,
+    naive_ideals,
+    naive_is_ideal,
+    naive_validate_abstract_basis,
+    relations,
+)
 
 from dcpolab import idealcomp
 from dcpolab.canonex import powerset, sierpinski
-from dcpolab.cli import generate_basis_corpus
-from dcpolab.errors import CarrierTooLarge, NoJoins, NotMonotone
+from dcpolab.cli import generate_basis_corpus, generate_lattice_corpus
+from dcpolab.errors import CarrierTooLarge, NoJoins, NotMonotone, UnknownElement
 from dcpolab.expo import enumerate_monotone_maps
 from dcpolab.finposet import closure_from_covers, is_scott_continuous, validate_ep_pair
 from dcpolab.idealcomp import (
@@ -431,3 +438,33 @@ def test_subbasis_lemma_by_thinning(small_corpus):
             ) == x:
                 assert is_directed(poset, full)
                 assert directed_sup(poset, full) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(generate_lattice_corpus(71, 30, 6)), st.data())
+def test_directify_matches_the_per_subset_fold(poset, data):
+    # few distinct values under many labels, so duplicates are common
+    values = data.draw(st.lists(st.sampled_from(poset.elements), max_size=8))
+    fam = {f"u{i}": v for i, v in enumerate(values)}
+    out = directify(poset, fam)
+    assert (out.labels, out.mapping) == fold_directify(poset, fam)
+
+
+def test_mediating_map_names_the_first_violation_in_carrier_order(diamond):
+    # b < a < c; a -> a, b -> b, c -> b breaks the order at (a, c) and at
+    # (b, a), and the pair with the earlier left member is reported
+    ab = AbstractBasis.from_pairs(
+        ("a", "b", "c"),
+        [("a", "a"), ("b", "b"), ("c", "c"), ("b", "a"), ("a", "c"), ("b", "c")],
+    )
+    completion = idl_poset(ab)
+    with pytest.raises(NotMonotone, match=r"^assignment breaks monotonicity at 'a' < 'c'$"):
+        mediating_map(completion, {"a": "a", "b": "b", "c": "b"}, diamond)
+
+
+def test_abstract_basis_index_first_position_and_unknown_member():
+    basis = AbstractBasis(("x", "y", "x"), np.eye(3, dtype=bool))
+    assert [basis.index(m) for m in ("x", "y")] == [0, 1]
+    for member in ("zz", ["x"]):
+        with pytest.raises(UnknownElement, match=r"is not in the carrier$"):
+            basis.index(member)
