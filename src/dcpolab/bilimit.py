@@ -14,7 +14,6 @@ evaluates at bottom, and each next pair conjugates by the previous one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -113,36 +112,48 @@ class Bilimit:
         return mono_compose(self.iso_from_top, up)
 
     def project_infinity(self, i: int) -> MonoMap:
-        return MonoMap(
-            self.poset,
-            self.tower.stages[i],
-            [self.tower.stages[i].index(t[i]) for t in self.tuples],
-        )
+        """The stage-i entry of each tuple; tuple x lies over top element x."""
+        top_index = len(self.tower.stages) - 1
+        down = self.tower.project_between(top_index, i)
+        return MonoMap(self.poset, down.target, down.graph)
 
 
 def finite_bilimit(tower: Tower) -> Bilimit:
-    """Materialise the compatible tuples and verify the top-stage isomorphism."""
+    """Materialise the compatible tuples and verify the top-stage isomorphism.
+
+    A tuple is compatible when each neighbour projection sends entry i+1 to
+    entry i; every composite projection is built from those, so no other
+    pair needs checking.  The tuples grow a stage at a time: each partial
+    tuple is extended by every next-stage element that projects onto its
+    last entry.
+    """
     stages = tower.stages
-    k = len(stages)
-    proj = {(j, i): tower.project_between(j, i).graph for i in range(k) for j in range(i, k)}
-    rows = [tuple(proj[k - 1, i][x] for i in range(k)) for x in range(tower.top.n)]
-    expected = set(rows)
-
-    def names_of(row):
-        return tuple(stages[i].elements[x] for i, x in enumerate(row))
-
-    for combo in product(*(range(s.n) for s in stages)):
-        compatible = all(proj[j, i][combo[j]] == combo[i] for i in range(k) for j in range(i, k))
-        if compatible != (combo in expected):
-            raise IncompatibleTower(
-                f"compatible tuples are not exactly the top stage: {names_of(combo)}"
-            )
-    tuples = tuple(names_of(row) for row in rows)
-    poset = FinPoset(tuple(";".join(t) for t in tuples), componentwise_leq(stages, rows))
+    rows = np.arange(stages[0].n)[:, None]
+    for pair in tower.pairs:
+        r, x = np.nonzero(rows[:, -1:] == np.asarray(pair.project.graph, dtype=np.intp))
+        rows = np.column_stack([rows[r], x])
+    rows = rows[np.argsort(rows[:, -1])]
+    if not np.array_equal(rows[:, -1], np.arange(tower.top.n)):
+        raise IncompatibleTower("compatible tuples are not exactly the top stage")
+    columns = [[s.elements[x] for x in col] for s, col in zip(stages, rows.T.tolist())]
+    tuples = tuple(zip(*columns))
+    poset = FinPoset(tuple(map(";".join, tuples)), componentwise_leq(stages, rows))
     iso = MonoMap(tower.top, poset, range(tower.top.n), check=False)
     if not is_order_isomorphism(iso):
         raise IncompatibleTower("tuple order disagrees with the top stage")
     return Bilimit(tower, poset, tuples, iso)
+
+
+def _pushed_up(bilim: Bilimit, families):
+    """The labels (stage, label) and their values in the bilimit, for
+    per-stage families of labelled values (directed families or bases)."""
+    labels, values = [], {}
+    for i, fam in enumerate(families):
+        eps = bilim.embed_infinity(i)
+        for label in fam.labels:
+            labels.append((i, label))
+            values[i, label] = eps.apply(fam.value(label))
+    return tuple(labels), values
 
 
 def alpha_infinity(bilim: Bilimit, families, sigma) -> DirectedFamily:
@@ -152,14 +163,7 @@ def alpha_infinity(bilim: Bilimit, families, sigma) -> DirectedFamily:
     for i, fam in enumerate(families):
         if not approximates(tower.stages[i], fam, bilim.component(sigma, i)):
             raise NotApproximating(f"stage-{i} family does not approximate the component")
-    labels = []
-    mapping = {}
-    for i, fam in enumerate(families):
-        eps = bilim.embed_infinity(i)
-        for j in fam.labels:
-            labels.append((i, j))
-            mapping[(i, j)] = eps.apply(fam.value(j))
-    out = DirectedFamily(bilim.poset, tuple(labels), mapping)
+    out = DirectedFamily(bilim.poset, *_pushed_up(bilim, families))
     if not approximates(bilim.poset, out, sigma):
         raise NotApproximating("combined family fails to approximate")
     return out
@@ -171,14 +175,7 @@ def bilimit_basis(bilim: Bilimit, stage_bases) -> BasisMap:
     for i, beta in enumerate(stage_bases):
         if not check_small_basis(tower.stages[i], beta):
             raise NotABasis(f"stage-{i} input is not a small basis")
-    labels = []
-    into = {}
-    for i, beta in enumerate(stage_bases):
-        eps = bilim.embed_infinity(i)
-        for b in beta.labels:
-            labels.append((i, b))
-            into[(i, b)] = eps.apply(beta.value(b))
-    return BasisMap(bilim.poset, tuple(labels), into)
+    return BasisMap(bilim.poset, *_pushed_up(bilim, stage_bases))
 
 
 def embedding_preserves_way_below_check(tower: Tower, i: int, j: int) -> bool:

@@ -449,6 +449,17 @@ class EpPair:
         return f"EpPair(embed={self.embed!r}, project={self.project!r})"
 
 
+def _after(outer: MonoMap, inner: MonoMap):
+    """The graph of outer after inner, as an index array."""
+    return np.asarray(outer.graph, dtype=np.intp)[np.asarray(inner.graph, dtype=np.intp)]
+
+
+def is_section(section: MonoMap, retraction: MonoMap) -> bool:
+    """Retraction after section is the identity.  The caller aligns the
+    endpoints: the retraction's source is the section's target."""
+    return bool((_after(retraction, section) == np.arange(section.source.n)).all())
+
+
 def retract_failure(section: MonoMap, retraction: MonoMap):
     """The first retract law that fails, or None when all hold.
 
@@ -458,7 +469,7 @@ def retract_failure(section: MonoMap, retraction: MonoMap):
     """
     if section.source != retraction.target or section.target != retraction.source:
         return "endpoints"
-    if any(retraction.graph[section.graph[i]] != i for i in range(section.source.n)):
+    if not is_section(section, retraction):
         return "section"
     if not (is_scott_continuous(section) and is_scott_continuous(retraction)):
         return "continuity"
@@ -474,5 +485,4 @@ def validate_ep_pair(pair: EpPair) -> bool:
         raise ShapeMismatch("embed/project endpoints do not align")
     if failure is not None:
         return False
-    up = e.target
-    return all(up.leq[e.graph[p.graph[j]], j] for j in range(up.n))
+    return bool(e.target.leq[_after(e, p), np.arange(e.target.n)].all())

@@ -4,21 +4,36 @@ The oracles here deliberately avoid the package's bitmask/numpy machinery:
 they use only the public ``le`` predicate and plain itertools, so agreement
 between an oracle and a production routine is a genuine two-route check.
 The exceptions are the loop versions of replaced routines
-(``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``):
-they read the same ``lub_table`` as the vectorised code, and pin its outputs
-to theirs.
+(``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``,
+``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up`` and
+the ``loop_*`` section-law checks): they read the same tables and maps as
+the vectorised code, and pin its outputs to theirs.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from dcpolab import idealcomp
+from dcpolab.bilimit import Bilimit, Tower
 from dcpolab.cli import generate_corpus
-from dcpolab.finposet import closure_from_covers
+from dcpolab.errors import IncompatibleTower, ShapeMismatch
+from dcpolab.finposet import (
+    EpPair,
+    FinPoset,
+    MonoMap,
+    closure_from_covers,
+    componentwise_leq,
+    is_order_isomorphism,
+    is_scott_continuous,
+    subposet,
+)
 from dcpolab.idealcomp import AbstractBasis, basis_from_order, idl_poset
 
 
@@ -173,6 +188,151 @@ def nested_supcomplete_check(P, closed):
             if completion.name_of(K) != pos.elements[int(pos.lub_table[i, j])]:
                 return False
     return True
+
+
+def product_scan_bilimit(tower: Tower) -> Bilimit:
+    """Materialise the compatible tuples and verify the top-stage isomorphism."""
+    stages = tower.stages
+    k = len(stages)
+    proj = {(j, i): tower.project_between(j, i).graph for i in range(k) for j in range(i, k)}
+    rows = [tuple(proj[k - 1, i][x] for i in range(k)) for x in range(tower.top.n)]
+    expected = set(rows)
+
+    def names_of(row):
+        return tuple(stages[i].elements[x] for i, x in enumerate(row))
+
+    for combo in product(*(range(s.n) for s in stages)):
+        compatible = all(proj[j, i][combo[j]] == combo[i] for i in range(k) for j in range(i, k))
+        if compatible != (combo in expected):
+            raise IncompatibleTower(
+                f"compatible tuples are not exactly the top stage: {names_of(combo)}"
+            )
+    tuples = tuple(names_of(row) for row in rows)
+    poset = FinPoset(tuple(";".join(t) for t in tuples), componentwise_leq(stages, rows))
+    iso = MonoMap(tower.top, poset, range(tower.top.n), check=False)
+    if not is_order_isomorphism(iso):
+        raise IncompatibleTower("tuple order disagrees with the top stage")
+    return Bilimit(tower, poset, tuples, iso)
+
+
+def looked_up_projection(bilim, i):
+    """``Bilimit.project_infinity`` by name: entry i of every tuple."""
+    return MonoMap(
+        bilim.poset,
+        bilim.tower.stages[i],
+        [bilim.tower.stages[i].index(t[i]) for t in bilim.tuples],
+    )
+
+
+def looped_push_up(bilim, families):
+    """The labels and values that ``alpha_infinity`` and ``bilimit_basis``
+    put on the bilimit, one stage label at a time."""
+    labels = []
+    mapping = {}
+    for i, fam in enumerate(families):
+        eps = bilim.embed_infinity(i)
+        for j in fam.labels:
+            labels.append((i, j))
+            mapping[(i, j)] = eps.apply(fam.value(j))
+    return tuple(labels), mapping
+
+
+def _greatest_below(poset, members, x):
+    """The greatest of the member indices below index x, or None."""
+    below = [m for m in members if poset.leq[m, x]]
+    return next((g for g in below if all(poset.leq[m, g] for m in below)), None)
+
+
+def _deflation_pair(small, big):
+    """The inclusion of a sub-poset and the idempotent deflation onto it,
+    which sends each element to the greatest sub-poset member below it."""
+    members = [big.index(x) for x in small.elements]
+    section = MonoMap(small, big, members)
+    down = [members.index(_greatest_below(big, members, x)) for x in range(big.n)]
+    return EpPair(embed=section, project=MonoMap(big, small, down))
+
+
+def retract_chains(seed, count):
+    """Reproducible towers of 2 to 4 stages on at most eight elements.
+
+    Each stage is the image of an idempotent deflation of the next, split by
+    the inclusion, as ``generate_ep_corpus`` splits one pair.  The image is a
+    random proper subset under which every element has a greatest member
+    below it.
+    """
+    rng = random.Random(seed)
+    chains = []
+    for top in generate_corpus(seed, 4 * count, 8):
+        if len(chains) == count:
+            break
+        stages = [top]
+        for _ in range(rng.randint(1, 3)):
+            big = stages[0]
+            images = [
+                members
+                for r in range(1, big.n)
+                for members in itertools.combinations(range(big.n), r)
+                if all(_greatest_below(big, members, x) is not None for x in range(big.n))
+            ]
+            if not images:
+                break
+            stages.insert(0, subposet(big, [big.elements[i] for i in rng.choice(images)]))
+        if len(stages) > 1:
+            pairs = tuple(_deflation_pair(s, b) for s, b in zip(stages, stages[1:]))
+            chains.append(Tower(tuple(stages), pairs))
+    return chains
+
+
+def one_entry_changed(pair):
+    """The pair, then each copy of it with one projection entry changed; the
+    changed projections are not checked for monotonicity."""
+    yield pair
+    e, p = pair.embed, pair.project
+    for j, old in enumerate(p.graph):
+        for v in range(p.target.n):
+            if v != old:
+                graph = p.graph[:j] + (v,) + p.graph[j + 1 :]
+                yield EpPair(embed=e, project=MonoMap(p.source, p.target, graph, check=False))
+
+
+def loop_section(section, retraction):
+    """Retraction after section is the identity, one source element at a time."""
+    return all(retraction.graph[section.graph[i]] == i for i in range(section.source.n))
+
+
+def loop_retract_failure(section, retraction):
+    """``retract_failure`` with the section law as a loop over the source."""
+    if section.source != retraction.target or section.target != retraction.source:
+        return "endpoints"
+    if any(retraction.graph[section.graph[i]] != i for i in range(section.source.n)):
+        return "section"
+    if not (is_scott_continuous(section) and is_scott_continuous(retraction)):
+        return "continuity"
+    return None
+
+
+def loop_validate_ep_pair(pair):
+    """``validate_ep_pair`` with the deflation law as a loop over the big side."""
+    e, p = pair.embed, pair.project
+    failure = loop_retract_failure(e, p)
+    if failure == "endpoints":
+        raise ShapeMismatch("embed/project endpoints do not align")
+    if failure is not None:
+        return False
+    up = e.target
+    return all(up.leq[e.graph[p.graph[j]], j] for j in range(up.n))
+
+
+def loop_idl_iso_continuous_check(poset, beta):
+    """``idl_iso_continuous_check`` with both section laws as loops; it reads
+    ``idealcomp.idl_ep_pair`` at call time, so a test may replace that."""
+    pair, completion = idealcomp.idl_ep_pair(poset, beta, use_way_below=True)
+    s, r = pair.embed, pair.project
+    return (
+        is_order_isomorphism(s)
+        and all(r.graph[s.graph[i]] == i for i in range(poset.n))
+        and all(s.graph[r.graph[j]] == j for j in range(completion.poset.n))
+    )
 
 
 @st.composite

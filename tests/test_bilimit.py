@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
+from conftest import looked_up_projection, looped_push_up, product_scan_bilimit, retract_chains
 from dcpolab.bilimit import (
     Tower,
     alpha_infinity,
@@ -15,9 +19,17 @@ from dcpolab.canonex import sierpinski
 from dcpolab.cli import generate_ep_corpus
 from dcpolab.errors import NotApproximating, StageTooLarge
 from dcpolab.expo import exponential, step_basis
-from dcpolab.finposet import mono_compose, validate_ep_pair
+from dcpolab.finposet import (
+    EpPair,
+    FinPoset,
+    MonoMap,
+    closure_from_covers,
+    mono_compose,
+    validate_ep_pair,
+)
 from dcpolab.indcomp import DirectedFamily
 from dcpolab.waybelow import (
+    BasisMap,
     approximates,
     check_small_basis,
     check_small_compact_basis,
@@ -219,3 +231,69 @@ def test_dinfty_demo_report():
     assert report["basis_sizes"] == [2, 3, 10]
     assert report["bilimit_size"] == 10
     assert all(report["laws"].values())
+
+
+def down_families(bilim, sigma):
+    """Per stage, the down-set of sigma's component: it approximates it."""
+    return [
+        DirectedFamily.from_names(
+            s, tuple(y for y in s.elements if s.le(y, bilim.component(sigma, i)))
+        )
+        for i, s in enumerate(bilim.tower.stages)
+    ]
+
+
+# scott_tower(0) is a one-stage tower; the last tower has one empty stage
+ORACLE_TOWERS = (
+    retract_chains(13, 40)
+    + [scott_tower(n) for n in range(3)]
+    + [Tower((FinPoset((), np.zeros((0, 0), bool)),), ())]
+)
+
+
+@pytest.mark.parametrize(
+    "tower", ORACLE_TOWERS, ids=lambda t: "-".join(str(s.n) for s in t.stages)
+)
+def test_bilimit_matches_the_product_scan(tower):
+    bilim, oracle = finite_bilimit(tower), product_scan_bilimit(tower)
+    assert bilim.tuples == oracle.tuples
+    assert bilim.poset.elements == oracle.poset.elements
+    assert (bilim.poset.leq == oracle.poset.leq).all()
+    assert bilim.iso_from_top.graph == oracle.iso_from_top.graph
+    for i in range(len(tower.stages)):
+        assert bilim.project_infinity(i).graph == looked_up_projection(oracle, i).graph
+        assert bilim.embed_infinity(i).graph == oracle.embed_infinity(i).graph
+    bases = [BasisMap.identity(s) for s in tower.stages]
+    binf = bilimit_basis(bilim, bases)
+    assert (binf.labels, binf.into) == looped_push_up(oracle, bases)
+    for sigma in bilim.poset.elements:
+        families = down_families(bilim, sigma)
+        fam = alpha_infinity(bilim, families, sigma)
+        assert (fam.labels, fam.mapping) == looped_push_up(oracle, families)
+
+
+def chain(m):
+    names = [f"c{j}" for j in range(m)]
+    return closure_from_covers(names, list(zip(names, names[1:])))
+
+
+def test_chain_tower_bilimit_grows_stage_by_stage():
+    # The stage product 9 * 10 * ... * 16 is about 5.2e8 tuples, too many to
+    # scan; growing the tuples keeps one partial tuple per stage element.
+    stages = [chain(m) for m in range(9, 17)]
+    pairs = [
+        EpPair(
+            embed=MonoMap(low, high, range(low.n)),
+            project=MonoMap(high, low, [min(j, low.n - 1) for j in range(high.n)]),
+        )
+        for low, high in zip(stages, stages[1:])
+    ]
+    tower = Tower(tuple(stages), tuple(pairs))
+    start = time.perf_counter()
+    bilim = finite_bilimit(tower)
+    elapsed = time.perf_counter() - start
+    assert bilim.tuples == tuple(
+        tuple(f"c{min(j, s.n - 1)}" for s in stages) for j in range(16)
+    )
+    assert (bilim.poset.leq == tower.top.leq).all()
+    assert elapsed < 1.0

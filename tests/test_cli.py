@@ -238,6 +238,43 @@ def test_cmd_tower_unsafe_stage3_fails_honestly(capsys):
     assert code == 1 and "TooLarge" in out
 
 
+TOWER_LAWS = (
+    "law_ep_pairs: pass\n"
+    "law_embeddings_transfer_way_below: pass\n"
+    "law_bilimit_iso_top_stage: pass\n"
+    "law_stage_bases_compact: pass\n"
+    "law_bilimit_small_compact_basis: pass\n"
+)
+TOWER_TRANSCRIPTS = {
+    "0": (
+        "stage_sizes: 2\n"
+        "basis_sizes: 2\n"
+        "bilimit_size: 2\n"
+        "bilimit_basis_size: 2\n"
+    )
+    + TOWER_LAWS,
+    "1": (
+        "stage_sizes: 2 3\n"
+        "basis_sizes: 2 3\n"
+        "bilimit_size: 3\n"
+        "bilimit_basis_size: 5\n"
+    )
+    + TOWER_LAWS,
+    "2": (
+        "stage_sizes: 2 3 10\n"
+        "basis_sizes: 2 3 10\n"
+        "bilimit_size: 10\n"
+        "bilimit_basis_size: 15\n"
+    )
+    + TOWER_LAWS,
+}
+
+
+@pytest.mark.parametrize("stages", sorted(TOWER_TRANSCRIPTS))
+def test_cmd_tower_transcript(capsys, stages):
+    assert run(capsys, "tower", "--stages", stages) == (0, TOWER_TRANSCRIPTS[stages])
+
+
 def test_cmd_dyadic(capsys):
     assert run(capsys, "dyadic", "cmp", "L.M", "M") == (0, "lt\n")
     assert run(capsys, "dyadic", "interp", "M", "R.M") == (0, "R.L.M\n")

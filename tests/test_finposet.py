@@ -8,10 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import lub_oracle, naive_directed_subsets, small_posets
+from conftest import (
+    loop_retract_failure,
+    loop_section,
+    loop_validate_ep_pair,
+    lub_oracle,
+    naive_directed_subsets,
+    one_entry_changed,
+    small_posets,
+)
 
 from dcpolab import expo, finposet
-from dcpolab.cli import generate_corpus
+from dcpolab.cli import generate_corpus, generate_ep_corpus
 from dcpolab.errors import (
     CarrierTooLarge,
     CycleDetected,
@@ -33,7 +41,9 @@ from dcpolab.finposet import (
     is_directed,
     is_order_isomorphism,
     is_scott_continuous,
+    is_section,
     mono_compose,
+    retract_failure,
     scott_continuity_of_graph,
     subposet,
     upper_bounds_mask,
@@ -303,6 +313,27 @@ def test_validate_ep_pair_shape_mismatch(two_chain, diamond):
         validate_ep_pair(
             EpPair(embed=MonoMap.identity(two_chain), project=MonoMap.identity(diamond))
         )
+
+
+def test_section_laws_match_the_loops():
+    verdicts = set()
+    for pair in generate_ep_corpus(31, 25, 5):
+        for case in one_entry_changed(pair):
+            e, p = case.embed, case.project
+            assert is_section(e, p) is loop_section(e, p)
+            assert is_section(p, e) is loop_section(p, e)
+            failure = retract_failure(e, p)
+            assert failure == loop_retract_failure(e, p)
+            verdict = validate_ep_pair(case)
+            assert verdict is loop_validate_ep_pair(case)
+            verdicts.add((failure, verdict))
+        for e, p in ((pair.embed, pair.embed), (pair.project, pair.project)):
+            if e.source != e.target:
+                assert retract_failure(e, p) == loop_retract_failure(e, p) == "endpoints"
+                with pytest.raises(ShapeMismatch):
+                    validate_ep_pair(EpPair(embed=e, project=p))
+    # the section law, continuity and the deflation law each fail somewhere
+    assert verdicts == {(None, True), ("section", False), ("continuity", False), (None, False)}
 
 
 def test_equal_maps_over_equal_posets_hash_alike():

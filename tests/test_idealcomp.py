@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     fold_directify,
+    loop_idl_iso_continuous_check,
     naive_ideals,
     naive_is_ideal,
     naive_validate_abstract_basis,
+    one_entry_changed,
     relations,
 )
 
@@ -382,6 +384,19 @@ def test_basis_from_relation_always_validates(small_corpus):
 def test_idl_iso_continuous_identity_basis(small_corpus):
     for poset in small_corpus[:20]:
         assert idl_iso_continuous_check(poset, BasisMap.identity(poset))
+
+
+def test_idl_iso_continuous_check_matches_the_loops(small_corpus, monkeypatch):
+    verdicts = set()
+    for poset in small_corpus[:15]:
+        beta = BasisMap.identity(poset)
+        pair, completion = idl_ep_pair(poset, beta, use_way_below=True)
+        for case in one_entry_changed(pair):
+            monkeypatch.setattr(idealcomp, "idl_ep_pair", mock.Mock(return_value=(case, completion)))
+            verdict = idl_iso_continuous_check(poset, beta)
+            assert verdict is loop_idl_iso_continuous_check(poset, beta)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_idl_iso_singleton():
