@@ -125,7 +125,10 @@ def finite_bilimit(tower: Tower) -> Bilimit:
     entry i; every composite projection is built from those, so no other
     pair needs checking.  The tuples grow a stage at a time: each partial
     tuple is extended by every next-stage element that projects onto its
-    last entry.
+    last entry.  Each element projects onto one element, so by induction each
+    element of a stage ends exactly one tuple: sorted by last entry, the
+    compatible tuples are exactly the top stage, and a check of that can
+    never fail.
     """
     stages = tower.stages
     rows = np.arange(stages[0].n)[:, None]
@@ -133,8 +136,6 @@ def finite_bilimit(tower: Tower) -> Bilimit:
         r, x = np.nonzero(rows[:, -1:] == np.asarray(pair.project.graph, dtype=np.intp))
         rows = np.column_stack([rows[r], x])
     rows = rows[np.argsort(rows[:, -1])]
-    if not np.array_equal(rows[:, -1], np.arange(tower.top.n)):
-        raise IncompatibleTower("compatible tuples are not exactly the top stage")
     columns = [[s.elements[x] for x in col] for s, col in zip(stages, rows.T.tolist())]
     tuples = tuple(zip(*columns))
     poset = FinPoset(tuple(map(";".join, tuples)), componentwise_leq(stages, rows))

@@ -44,7 +44,7 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
     over every predecessor.  Each kept partial row counts as one search node
     against the budget, which is checked before a level is allocated.
     """
-    topo = sorted(range(D.n), key=lambda i: (bin(D.below_int[i]).count("1"), i))
+    topo = np.argsort(D.leq.sum(axis=0), kind="stable").tolist()
     column = {x: k for k, x in enumerate(topo)}
     rows = np.zeros((1, 0), dtype=np.intp)
     nodes = 0

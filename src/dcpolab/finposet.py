@@ -29,14 +29,23 @@ from .errors import (
 SUBSET_ENUM_LIMIT = 16
 
 
+def bool_product(a, b):
+    """The boolean product ``a @ b`` of 0/1 arrays, stacks broadcast as in ``@``.
+
+    numpy runs ``@`` on ``bool`` as a plain loop.  Counting in float32 runs in
+    BLAS, and is exact while no count reaches 2^24, far past desk scale."""
+    return a.astype(np.float32) @ b.astype(np.float32) > 0
+
+
 class FinPoset:
     """An immutable finite poset over named elements.
 
     ``leq`` is an n-by-n boolean matrix in canonical element order;
-    it is validated to be reflexive, transitive and antisymmetric.
+    it is validated to be reflexive, transitive and antisymmetric.  Everything
+    else the poset offers is derived from that matrix.
     """
 
-    __slots__ = ("elements", "n", "leq", "_index", "above_int", "below_int", "__dict__")
+    __slots__ = ("elements", "n", "leq", "_index", "__dict__")
 
     def __init__(self, elements, leq):
         elements = tuple(elements)
@@ -49,16 +58,13 @@ class FinPoset:
                 raise InvalidPoset("order is not reflexive")
             if (mat & mat.T & ~np.eye(n, dtype=bool)).any():
                 raise InvalidPoset("order is not antisymmetric")
-            closed = mat | (mat @ mat)
-            if (closed != mat).any():
+            if (bool_product(mat, mat) & ~mat).any():
                 raise InvalidPoset("order is not transitive")
         mat.setflags(write=False)
         self.elements = elements
         self.n = n
         self.leq = mat
         self._index = {name: i for i, name in enumerate(elements)}
-        self.above_int = [_row_mask(mat[i]) for i in range(n)]
-        self.below_int = [_row_mask(mat[:, i]) for i in range(n)]
 
     def index(self, name) -> int:
         try:
@@ -88,11 +94,16 @@ class FinPoset:
         return tuple(self.elements[i] for i in _bits(mask))
 
     @cached_property
+    def up_masks(self) -> list:
+        """Entry i is the up-set of i as a bitmask, for the subset routines."""
+        return _row_masks(self.leq)
+
+    @cached_property
     def cover_matrix(self):
         """The Hasse diagram: entry (i, j) says j covers i, that is i < j with
         nothing strictly between."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        mat = lt & ~(lt @ lt)
+        mat = lt & ~bool_product(lt, lt)
         mat.setflags(write=False)
         return mat
 
@@ -104,31 +115,19 @@ class FinPoset:
     @cached_property
     def bottom(self):
         """Index of the least element, or None."""
-        for i in range(self.n):
-            if self.below_int[i] == 1 << i and self.above_int[i] == self.full_mask():
-                return i
-        return None
-
-    def least_in(self, mask: int):
-        """Index of the least member of a subset mask, or None.
-
-        Applied to a mask of common upper bounds this is the least upper bound.
-        """
-        for u in _bits(mask):
-            if mask & ~self.above_int[u] == 0:
-                return u
-        return None
+        least = np.flatnonzero(self.leq.all(axis=1))
+        return int(least[0]) if len(least) else None
 
     @cached_property
     def lub_table(self):
-        """n-by-n table of least-upper-bound indices, -1 where none exists."""
-        n = self.n
-        table = np.full((n, n), -1, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                lub = self.least_in(self.above_int[i] & self.above_int[j])
-                if lub is not None:
-                    table[i, j] = lub
+        """n-by-n table of least-upper-bound indices, -1 where none exists.
+
+        The join of i and j is the element whose up-set is the intersection of
+        theirs: it bounds both, and it lies below everything that does."""
+        up = self.up_masks
+        owner = {mask: u for u, mask in enumerate(up)}
+        table = np.array([owner.get(a & b, -1) for a in up for b in up], dtype=np.int64)
+        table = table.reshape(self.n, self.n)
         table.setflags(write=False)
         return table
 
@@ -153,14 +152,12 @@ class FinPoset:
         # Masks holding two members with no common upper bound among the
         # members are dropped; the larger of two comparable members bounds both.
         dmasks = bounded_masks(
-            np.arange(1, 1 << n, dtype=np.int64), self.above_int, combinations(range(n), 2)
+            np.arange(1, 1 << n, dtype=np.int64), self.up_masks, combinations(range(n), 2)
         )
         sups = np.full(dmasks.shape, -1, dtype=np.int64)
-        full = self.full_mask()
-        for g in range(n):
+        for g, not_below in enumerate(_row_masks(~self.leq.T)):
             # g is a member and every member is below g.
-            top_g = (full ^ self.below_int[g]) | (1 << g)
-            sups[(dmasks & top_g) == 1 << g] = g
+            sups[(dmasks & (not_below | (1 << g))) == 1 << g] = g
         if (sups < 0).any():
             raise InvalidPoset("a directed subset without greatest element")
         dmasks.setflags(write=False)
@@ -181,9 +178,11 @@ class FinPoset:
         return hash((self.elements, self.leq.tobytes()))
 
 
-def _row_mask(row) -> int:
-    """The bitmask of a boolean row: bit i is set when row[i] is."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+def _row_masks(mat) -> list:
+    """The bitmask of each row of a boolean matrix, or of one boolean row:
+    bit j of entry i is set when ``mat[i, j]`` is."""
+    packed = np.packbits(np.atleast_2d(mat), axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
 def bounded_masks(masks, up, pairs):
@@ -235,7 +234,7 @@ def closure_from_covers(elements, covers) -> FinPoset:
             raise UnknownElement(f"cover {lo}<{hi} mentions an unknown element")
         mat[index[lo], index[hi]] = True
     for _ in range(max(n, 1)):
-        new = mat | (mat @ mat)
+        new = mat | bool_product(mat, mat)
         if (new == mat).all():
             break
         mat = new
@@ -271,10 +270,11 @@ def is_directed(poset: FinPoset, subset) -> bool:
     mask = poset.mask_of(subset)
     if mask == 0:
         return False
+    up = poset.up_masks
     members = list(_bits(mask))
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
-            if mask & poset.above_int[members[a]] & poset.above_int[members[b]] == 0:
+            if mask & up[members[a]] & up[members[b]] == 0:
                 return False
     return True
 
@@ -284,19 +284,16 @@ def directed_sup(poset: FinPoset, subset):
     mask = poset.mask_of(subset)
     if not is_directed(poset, mask):
         raise NotDirected(f"{poset.names_of(mask)} is not directed")
-    outside = poset.full_mask()
-    for g in _bits(mask):
-        if mask & (outside ^ poset.below_int[g]) == 0:
-            return poset.elements[g]
-    raise InvalidPoset("directed subset without greatest element")
+    # A finite directed subset holds its greatest member: its one upper bound in it.
+    return poset.elements[(mask & upper_bounds_mask(poset, mask)).bit_length() - 1]
 
 
 def upper_bounds_mask(poset: FinPoset, subset) -> int:
     """Bitmask of common upper bounds of a subset (full mask when empty)."""
     mask = poset.mask_of(subset)
-    ubs = poset.full_mask()
+    ubs, up = poset.full_mask(), poset.up_masks
     for i in _bits(mask):
-        ubs &= poset.above_int[i]
+        ubs &= up[i]
     return ubs
 
 
@@ -416,18 +413,16 @@ def scott_continuity_of_graph(source, target, graph) -> bool:
     clause is checked independently of the monotonicity shortcut.  Both
     steps are counting products over every directed subset at once: u bounds
     the image when no member maps outside the down-set of u, and a bound is
-    least when no bound lies outside its up-set.  No count exceeds a carrier
-    size, far below 2^24, so float32 holds them exactly and the products run
-    in BLAS.
+    least when no bound lies outside its up-set.
     """
     g = np.asarray(graph, dtype=np.intp)
     if not _graph_is_monotone(source, target, g):
         return False
     dmasks, sups = source.directed_table
-    members = ((dmasks[:, None] >> np.arange(source.n)) & 1).astype(np.float32)
-    not_le = (~target.leq).astype(np.float32)
-    ubs = members @ not_le[g] == 0
-    least = ubs & (ubs.astype(np.float32) @ not_le.T == 0)
+    members = (dmasks[:, None] >> np.arange(source.n)) & 1
+    not_le = ~target.leq
+    ubs = ~bool_product(members, not_le[g])
+    least = ubs & ~bool_product(ubs, not_le.T)
     return bool(least[np.arange(len(sups)), g[sups]].all())
 
 

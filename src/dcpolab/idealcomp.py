@@ -29,7 +29,8 @@ from .finposet import (
     FinPoset,
     MonoMap,
     _bits,
-    _row_mask,
+    _row_masks,
+    bool_product,
     bounded_masks,
     directed_sup,
     is_order_isomorphism,
@@ -115,7 +116,7 @@ def validate_abstract_basis(basis: AbstractBasis):
 
     def unsplit(lo, hi):  # [b, a1, a2]: a1, a2 < b, and no c with a1 < c, a2 < c and c < b
         under = below[lo:hi, None, :]
-        return under.transpose(0, 2, 1) & under & ~((rel & under) @ rel.T)
+        return under.transpose(0, 2, 1) & under & ~bool_product(rel & under, rel.T)
 
     hit = _first_hit(basis.n, unsplit)
     if hit:
@@ -152,11 +153,9 @@ def _ideal_masks(basis: AbstractBasis, masks=None):
             )
         masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[masks != 0]
-    for b in range(n):
-        down = _row_mask(rel[:, b])
+    for b, down in enumerate(_row_masks(rel.T)):
         masks = masks[(((masks >> b) & 1) == 0) | ((masks & down) == down)]
-    up = [_row_mask(rel[b]) for b in range(n)]
-    return bounded_masks(masks, up, combinations_with_replacement(range(n), 2))
+    return bounded_masks(masks, _row_masks(rel), combinations_with_replacement(range(n), 2))
 
 
 def _members(basis: AbstractBasis, mask: int) -> frozenset:

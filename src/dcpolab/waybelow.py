@@ -34,7 +34,8 @@ from .finposet import (
     SUBSET_ENUM_LIMIT,
     FinPoset,
     MonoMap,
-    _row_mask,
+    _row_masks,
+    bool_product,
     directed_sup,
     retract_failure,
 )
@@ -50,15 +51,15 @@ def _enumerated_relation(poset: FinPoset):
     dmasks, sups = poset.directed_table
     miss = np.zeros((n, n), dtype=bool)
     for x in range(n):
-        missed = sups[(dmasks & poset.above_int[x]) == 0]
+        missed = sups[(dmasks & poset.up_masks[x]) == 0]
         miss[x] = np.bincount(missed, minlength=n) > 0
-    return ~(miss @ poset.leq.T)
+    return ~bool_product(miss, poset.leq.T)
 
 
 def _reduced_relation(poset: FinPoset):
     """Every finite directed subset contains its supremum, so a counterexample
     can always be shrunk to a single element g with y <= g and not x <= g."""
-    return ~(~poset.leq @ poset.leq.T)
+    return ~bool_product(~poset.leq, poset.leq.T)
 
 
 def _cached_relation(poset: FinPoset, route):
@@ -111,8 +112,8 @@ def compacts(poset: FinPoset):
     diagonal = way_below_matrix(poset).diagonal()
     out = tuple(x for x, compact in zip(poset.elements, diagonal) if compact)
     compact_mask = poset.mask_of(out)
-    for i, x in enumerate(poset.elements):
-        below = compact_mask & poset.below_int[i]
+    for x, down in zip(poset.elements, _row_masks(poset.leq.T)):
+        below = compact_mask & down
         if below and directed_sup(poset, below) != x:
             raise NotDirected(f"compacts below {x} do not reach it")
     return out
@@ -139,7 +140,7 @@ def approximates(poset: FinPoset, fam, x) -> bool:
     mask = poset.mask_of(values)
     if directed_sup(poset, mask) != x:
         return False
-    return (mask & ~_row_mask(way_below_matrix(poset)[:, poset.index(x)])) == 0
+    return (mask & ~_row_masks(way_below_matrix(poset)[:, poset.index(x)])[0]) == 0
 
 
 @dataclass(frozen=True)

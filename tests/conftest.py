@@ -5,9 +5,10 @@ they use only the public ``le`` predicate and plain itertools, so agreement
 between an oracle and a production routine is a genuine two-route check.
 The exceptions are the loop versions of replaced routines
 (``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``,
-``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up`` and
-the ``loop_*`` section-law checks): they read the same tables and maps as
-the vectorised code, and pin its outputs to theirs.
+``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up``, the
+``loop_*`` section-law checks and the ``loop_*`` mask routines): they read
+the same tables and maps as the vectorised code, and pin its outputs to
+theirs.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ from hypothesis import strategies as st
 from dcpolab import idealcomp
 from dcpolab.bilimit import Bilimit, Tower
 from dcpolab.cli import generate_corpus
-from dcpolab.errors import IncompatibleTower, ShapeMismatch
+from dcpolab.errors import IncompatibleTower, InvalidPoset, NotDirected, ShapeMismatch
 from dcpolab.finposet import (
     EpPair,
     FinPoset,
     MonoMap,
+    _bits,
     closure_from_covers,
     componentwise_leq,
     is_order_isomorphism,
+    is_directed,
     is_scott_continuous,
     subposet,
 )
@@ -321,6 +324,61 @@ def loop_validate_ep_pair(pair):
         return False
     up = e.target
     return all(up.leq[e.graph[p.graph[j]], j] for j in range(up.n))
+
+
+def loop_masks(poset):
+    """The up-set and down-set bitmasks of every element, one bit at a time,
+    as ``FinPoset`` once stored them eagerly."""
+    n = poset.n
+    above = [sum(1 << j for j in range(n) if poset.leq[i, j]) for i in range(n)]
+    below = [sum(1 << j for j in range(n) if poset.leq[j, i]) for i in range(n)]
+    return above, below
+
+
+def loop_least_in(above, mask):
+    """Index of the least member of a subset mask, or None.
+
+    Applied to a mask of common upper bounds this is the least upper bound.
+    """
+    for u in _bits(mask):
+        if mask & ~above[u] == 0:
+            return u
+    return None
+
+
+def loop_lub_table(poset):
+    """n-by-n table of least-upper-bound indices, -1 where none exists."""
+    above, _ = loop_masks(poset)
+    n = poset.n
+    table = np.full((n, n), -1, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            lub = loop_least_in(above, above[i] & above[j])
+            if lub is not None:
+                table[i, j] = lub
+    return table
+
+
+def loop_bottom(poset):
+    """Index of the least element, or None."""
+    above, below = loop_masks(poset)
+    for i in range(poset.n):
+        if below[i] == 1 << i and above[i] == poset.full_mask():
+            return i
+    return None
+
+
+def loop_directed_sup(poset, subset):
+    """Greatest member of a directed subset; equals its least upper bound."""
+    mask = poset.mask_of(subset)
+    if not is_directed(poset, mask):
+        raise NotDirected(f"{poset.names_of(mask)} is not directed")
+    _, below = loop_masks(poset)
+    outside = poset.full_mask()
+    for g in _bits(mask):
+        if mask & (outside ^ below[g]) == 0:
+            return poset.elements[g]
+    raise InvalidPoset("directed subset without greatest element")
 
 
 def loop_idl_iso_continuous_check(poset, beta):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcpolab import expo
 from dcpolab.cli import (
     emit_dot,
     emit_poset_file,
@@ -213,6 +216,81 @@ def test_cmd_exp(tmp_path, capsys):
     assert code == 0
     assert "elements: f0 f1 f2" in out
     assert "step-basis-compact: true" in out
+
+
+TRANSCRIPTS = Path(__file__).parent / "transcripts"
+
+
+def _poset_file(tmp_path, capsys, which):
+    """A poset file: the two-chain, or the powerset of two points as the
+    ``example`` verb emits it."""
+    f = tmp_path / f"{which}.txt"
+    if which == "two_chain":
+        f.write_text(TWO_CHAIN)
+    else:
+        f.write_text(run(capsys, "example", "powerset:2", "--emit", "poset")[1])
+    return str(f)
+
+
+@pytest.mark.parametrize("which", ["two_chain", "powerset2"])
+@pytest.mark.parametrize("flag", [None, "--step-basis", "--dot"])
+def test_cmd_exp_transcript(tmp_path, capsys, which, flag):
+    f = _poset_file(tmp_path, capsys, which)
+    suffix = "" if flag is None else "_" + flag[2:].replace("-", "_")
+    expected = (TRANSCRIPTS / f"exp_{which}{suffix}.txt").read_text()
+    assert run(capsys, "exp", f, f, *([flag] if flag else [])) == (0, expected)
+
+
+def test_cmd_exp_builds_the_exponential_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = expo.exponential
+    monkeypatch.setattr(expo, "exponential", lambda *args: calls.append(args) or build(*args))
+    f = _poset_file(tmp_path, capsys, "two_chain")
+    assert run(capsys, "exp", f, f, "--step-basis")[0] == 0
+    assert len(calls) == 1
+
+
+def test_cmd_exp_step_basis_refuses_a_non_lattice_target(tmp_path, capsys):
+    d, e = tmp_path / "d.txt", tmp_path / "e.txt"
+    d.write_text(TWO_CHAIN)
+    e.write_text("poset\nelements: a b c\ncovers: a<b a<c\n")
+    plain = run(capsys, "exp", str(d), str(e))
+    assert plain[0] == 0
+    refused = (1, plain[1] + "NotALattice: poset lacks a least element or binary joins\n")
+    assert run(capsys, "exp", str(d), str(e), "--step-basis") == refused
+
+
+@pytest.mark.parametrize(
+    "which, x, y, transcript",
+    [
+        ("two_chain", "a", "b", (0, "true\n")),
+        ("two_chain", "b", "a", (1, "false\n")),
+        ("two_chain", "b", "b", (0, "true\n")),
+        ("powerset2", "{}", "{x0,x1}", (0, "true\n")),
+        ("powerset2", "{x0}", "{x0,x1}", (0, "true\n")),
+        ("powerset2", "{x1}", "{x0}", (1, "false\n")),
+    ],
+)
+def test_cmd_waybelow_transcript(tmp_path, capsys, which, x, y, transcript):
+    assert run(capsys, "waybelow", _poset_file(tmp_path, capsys, which), x, y) == transcript
+
+
+@pytest.mark.parametrize(
+    "rel, transcript",
+    [
+        ("a<a b<b a<b", (0, "poset\nelements: {a} {a,b}\ncovers: {a}<{a,b}\n")),
+        (
+            "a<a a<b b<b a<c b<c c<c",
+            (0, "poset\nelements: {a} {a,b} {a,b,c}\ncovers: {a}<{a,b} {a,b}<{a,b,c}\n"),
+        ),
+        ("a<b", (1, "not an abstract basis: nullary-interpolation a\n")),
+    ],
+)
+def test_cmd_idl_transcript(tmp_path, capsys, rel, transcript):
+    f = tmp_path / "b.txt"
+    elements = " ".join(sorted({x for pair in rel.split() for x in pair.split("<")}))
+    f.write_text(f"basis\nelements: {elements}\nrel: {rel}\n")
+    assert run(capsys, "idl", str(f)) == transcript
 
 
 def test_cmd_tower_report(tmp_path, capsys):

@@ -9,6 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    loop_bottom,
+    loop_directed_sup,
+    loop_lub_table,
     loop_retract_failure,
     loop_section,
     loop_validate_ep_pair,
@@ -19,7 +22,7 @@ from conftest import (
 )
 
 from dcpolab import expo, finposet
-from dcpolab.cli import generate_corpus, generate_ep_corpus
+from dcpolab.cli import generate_corpus, generate_ep_corpus, generate_lattice_corpus
 from dcpolab.errors import (
     CarrierTooLarge,
     CycleDetected,
@@ -35,6 +38,7 @@ from dcpolab.finposet import (
     EpPair,
     FinPoset,
     MonoMap,
+    bool_product,
     closure_from_covers,
     componentwise_leq,
     directed_sup,
@@ -422,3 +426,77 @@ def test_componentwise_leq_without_coordinates():
     assert componentwise_leq([], [()]).tolist() == [[True]]
     assert componentwise_leq([], [(), ()]).tolist() == [[True, True], [True, True]]
     assert componentwise_leq([], []).shape == (0, 0)
+
+
+SHAPE = st.integers(min_value=0, max_value=6)
+
+
+@settings(deadline=None, max_examples=120)
+@given(SHAPE, SHAPE, SHAPE, SHAPE, st.data())
+def test_bool_product_is_the_boolean_matmul(slab, rows, inner, cols, data):
+    # slab == 0 draws plain matrices; otherwise a stack of ``slab`` left
+    # operands against one right operand, as validate_abstract_basis passes.
+    def matrix(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), bool).reshape(shape)
+
+    a = matrix((slab, rows, inner) if slab else (rows, inner))
+    b = matrix((inner, cols))
+    got = bool_product(a, b)
+    assert got.dtype == bool and np.array_equal(got, a @ b)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((0, 3), (3, 2)), ((3, 0), (0, 2)), ((2, 3), (3, 0)), ((4, 1, 0), (0, 5))]
+)
+def test_bool_product_zero_size_shapes(shape_a, shape_b):
+    a, b = np.ones(shape_a, dtype=bool), np.ones(shape_b, dtype=bool)
+    got = bool_product(a, b)
+    assert got.shape == (a @ b).shape and not got.any()
+
+
+def _mask_corner_posets():
+    """n = 0, n = 1, and an antichain, which has no bottom and no joins."""
+    return [FinPoset((), np.zeros((0, 0), dtype=bool)), _chain(1), _antichain(3)]
+
+
+@pytest.mark.parametrize(
+    "posets, missing_joins",
+    [
+        (lambda: generate_corpus(11, 60, 7), True),
+        (lambda: generate_lattice_corpus(12, 30, 7), False),
+        (_mask_corner_posets, True),
+    ],
+    ids=["corpus", "lattices", "corners"],
+)
+def test_mask_routines_match_the_loops(posets, missing_joins):
+    saw_missing_join = False
+    for poset in posets():
+        table = loop_lub_table(poset)
+        saw_missing_join |= bool((table < 0).any())
+        assert np.array_equal(poset.lub_table, table)
+        assert poset.bottom == loop_bottom(poset)
+        for mask in range(1 << poset.n):
+            try:
+                expected = loop_directed_sup(poset, mask)
+            except NotDirected:
+                with pytest.raises(NotDirected):
+                    directed_sup(poset, mask)
+            else:
+                assert directed_sup(poset, mask) == expected
+    assert saw_missing_join == missing_joins
+
+
+@pytest.mark.parametrize("budget, reached", [(10, 12), (33, 42), (60, 66)])
+def test_node_budget_message_follows_the_linear_extension(budget, reached):
+    # Element order is not a linear extension here, and the node count at
+    # which the budget trips depends on the order in which elements are
+    # grown: fewest elements below first, ties in element order.  Breaking
+    # the ties the other way trips the budget of 33 at 43 nodes.
+    names = ("p0", "p1", "p2", "p3", "p4")
+    D = closure_from_covers(names, [("p2", "p1"), ("p3", "p0"), ("p4", "p1"), ("p4", "p3")])
+    E = _chain(3)
+    assert len(monotone_graphs(D, E)) == 54
+    with pytest.raises(TooLarge) as info:
+        monotone_graphs(D, E, node_budget=budget)
+    assert str(info.value) == f"monotone-map search reached {reached} nodes, past node_budget ({budget})"
