@@ -288,8 +288,7 @@ def cmd_exp(args) -> int:
         graph = " ".join(f"{x}->{m.apply(x)}" for x in D.elements)
         print(f"# {name}: {graph}")
     if args.step_basis:
-        expo._require_lattice(E)
-        basis = expo._step_basis_in(ex, BasisMap.identity(D), BasisMap.identity(E))
+        basis = ex.step_basis(BasisMap.identity(D), BasisMap.identity(E))
         ok = waybelow.check_small_compact_basis(ex.poset, basis)
         print(f"step-basis-size: {len(basis.labels)}")
         print(f"step-basis-compact: {'true' if ok else 'false'}")

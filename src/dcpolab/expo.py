@@ -43,8 +43,17 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
     e.  Partial rows are monotone already, so that is the same filter as
     over every predecessor.  Each kept partial row counts as one search node
     against the budget, which is checked before a level is allocated.
+
+    Each level is laid out row-major, by parent row and then by value, so
+    sorted parents give sorted children.  When the element order is itself
+    a linear extension (``leq`` upper-triangular, as for every exponential,
+    tower stage and bilimit, whose elements are named in sorted graph
+    order), the growth runs in that order and the rows come out sorted.
+    Otherwise it runs fewest elements below first, ties in element order,
+    and the rows are sorted at the end.
     """
-    topo = np.argsort(D.leq.sum(axis=0), kind="stable").tolist()
+    in_order = not np.tril(D.leq, -1).any()
+    topo = list(range(D.n)) if in_order else np.argsort(D.leq.sum(axis=0), kind="stable").tolist()
     column = {x: k for k, x in enumerate(topo)}
     rows = np.zeros((1, 0), dtype=np.intp)
     nodes = 0
@@ -57,17 +66,18 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
             if nodes > node_budget:
                 budget = "NODE_BUDGET" if node_budget == NODE_BUDGET else "node_budget"
                 raise TooLarge(f"monotone-map search reached {nodes} nodes, past {budget} ({node_budget})")
-        level = np.empty((sum(map(len, kept)), k + 1), dtype=np.intp)
-        start = 0
-        for e, idx in enumerate(kept):
-            stop = start + len(idx)
-            level[start:stop, :k] = rows[idx]
-            level[start:stop, k] = e
-            start = stop
+        parents = np.concatenate(kept) if kept else np.empty(0, dtype=np.intp)
+        order = np.argsort(parents, kind="stable")
+        level = np.empty((len(parents), k + 1), dtype=np.intp)
+        level[:, :k] = rows[parents[order]]
+        level[:, k] = np.repeat(np.arange(E.n), list(map(len, kept)))[order]
         rows = level
-    graphs = np.empty_like(rows)
-    graphs[:, topo] = rows
-    graphs = graphs[np.lexsort(graphs.T[::-1])] if D.n else graphs  # lexsort needs a key
+    if in_order:
+        graphs = rows
+    else:
+        graphs = np.empty_like(rows)
+        graphs[:, topo] = rows
+        graphs = graphs[np.lexsort(graphs.T[::-1])]
     graphs.setflags(write=False)
     return graphs
 
@@ -104,9 +114,16 @@ class ExponentialPoset:
     def _graph_index(self):
         return {tuple(g): i for i, g in enumerate(self.graphs.tolist())}
 
-    def join_graph(self, g1, g2):
-        lub = self.target.lub_table
-        return tuple(int(lub[a, b]) for a, b in zip(g1, g2))
+    def step_basis(self, beta_d: BasisMap, beta_e: BasisMap) -> BasisMap:
+        """The directified single-step basis of this exponential."""
+        D, E = self.source, self.target
+        _require_lattice(E)
+        labels = [(b, c) for b in beta_d.labels for c in beta_e.labels]
+        steps = [step_function(D, E, beta_d.value(b), beta_e.value(c)).graph for b, c in labels]
+        closure = _join_closure(E, D.n, labels, steps)
+        # Maps are named in sorted graph order, so the closure is in canonical order.
+        into = {label: self.poset.elements[self.index_of(g)] for g, label in closure}
+        return BasisMap(self.poset, tuple(into), into)
 
 
 def exponential(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) -> ExponentialPoset:
@@ -175,19 +192,8 @@ def _join_closure(target: FinPoset, width: int, labels, rows):
 
 def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> BasisMap:
     """The directified single-step basis of the exponential."""
-    _require_lattice(E)
-    return _step_basis_in(exponential(D, E), beta_d, beta_e)
-
-
-def _step_basis_in(expo: ExponentialPoset, beta_d: BasisMap, beta_e: BasisMap) -> BasisMap:
-    """``step_basis`` inside an exponential that is already built."""
-    D, E = expo.source, expo.target
-    labels = [(b, c) for b in beta_d.labels for c in beta_e.labels]
-    steps = [step_function(D, E, beta_d.value(b), beta_e.value(c)).graph for b, c in labels]
-    closure = _join_closure(E, D.n, labels, steps)
-    # Maps are named in sorted graph order, so the closure is in canonical order.
-    into = {label: expo.poset.elements[expo.index_of(g)] for g, label in closure}
-    return BasisMap(expo.poset, tuple(into), into)
+    _require_lattice(E)  # refused before the exponential is built
+    return exponential(D, E).step_basis(beta_d, beta_e)
 
 
 @dataclass(frozen=True)
@@ -253,9 +259,8 @@ def exp_basis_via_retract(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: Ba
     pair_d, comp_d = idl_ep_pair(D, beta_d, use_way_below=False)
     pair_e, comp_e = idl_ep_pair(E, beta_e_closed, use_way_below=False)
     dbar, ebar = comp_d.poset, comp_e.poset
-    _require_lattice(ebar)
     upstairs = exponential(dbar, ebar)
-    step = _step_basis_in(upstairs, comp_d.principal_basis(), comp_e.principal_basis())
+    step = upstairs.step_basis(comp_d.principal_basis(), comp_e.principal_basis())
     downstairs = exponential(D, E)
     into, back = np.asarray(pair_d.embed.graph), np.asarray(pair_e.project.graph)
     ups = upstairs.graphs[step.indices]

@@ -9,6 +9,7 @@ a vectorised pass over ``numpy`` integer arrays.
 
 from __future__ import annotations
 
+import gc
 from functools import cached_property
 from itertools import combinations
 
@@ -332,18 +333,31 @@ class MonoMap:
 
         Shape and value range are checked once for the whole array, which
         raises ``ShapeMismatch`` wherever the per-row constructor would.  Rows
-        are converted ``_ROW_CHUNK`` at a time, so no list of every row lives
-        beside the maps.
+        are converted ``_ROW_CHUNK`` at a time, column lists zipped into
+        tuples, so no list of every row lives beside the maps.
+
+        The cyclic collector is paused while the maps are built: each map
+        refers to two posets and a tuple of ints, and nothing refers back,
+        so the many container allocations here form no cycle for it to find.
+        Its prior state is restored however the loop ends.
         """
         graphs = np.asarray(graphs, dtype=np.intp)
         width = graphs.shape[1] if graphs.ndim == 2 else None
         _require_assignment(source, target, width, (graphs.min(), graphs.max()) if graphs.size else None)
         out, new, fill = [], object.__new__, cls._fill
-        for lo in range(0, len(graphs), _ROW_CHUNK):
-            for g in graphs[lo : lo + _ROW_CHUNK].tolist():
-                m = new(cls)
-                fill(m, source, target, tuple(g))
-                out.append(m)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for lo in range(0, len(graphs), _ROW_CHUNK):
+                chunk = graphs[lo : lo + _ROW_CHUNK]
+                rows = zip(*chunk.T.tolist()) if width else [()] * len(chunk)  # zip() of no columns is empty
+                for g in rows:
+                    m = new(cls)
+                    fill(m, source, target, g)
+                    out.append(m)
+        finally:
+            if collecting:
+                gc.enable()
         return out
 
     @classmethod

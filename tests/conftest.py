@@ -122,6 +122,13 @@ def naive_validate_abstract_basis(basis):
     return True, None
 
 
+def pointwise_join(target, g1, g2):
+    """The pointwise join of two graphs into ``target``, read from its
+    ``lub_table``."""
+    lub = target.lub_table
+    return tuple(int(lub[a, b]) for a, b in zip(g1, g2))
+
+
 def frontier_join_closure(bottom, generators, join, le):
     """The frontier join closure that ``expo._join_closure`` replaced, with
     the join and the order passed in as callbacks.

@@ -10,6 +10,8 @@ import math
 import random
 import time
 
+from conftest import pointwise_join
+
 from dcpolab.bilimit import dinfty_demo, finite_bilimit, scott_tower
 from dcpolab.canonex import powerset, sierpinski
 from dcpolab.cli import (
@@ -118,7 +120,7 @@ def test_criterion_5_step_functions():
             join = tuple([cod.bottom] * dom.n)
             for g in steps:
                 if all(cod.leq[g[i], f.graph[i]] for i in range(dom.n)):
-                    join = ex.join_graph(join, g)
+                    join = pointwise_join(cod, join, g)
             assert join == f.graph
         basis = step_basis(dom, BasisMap.identity(dom), cod, BasisMap.identity(cod))
         assert check_small_compact_basis(ex.poset, basis)

@@ -141,6 +141,16 @@ def test_generate_ep_corpus():
     assert all(validate_ep_pair(p) for p in pairs)
 
 
+def test_generate_ep_corpus_deflations_are_pinned():
+    # The deflation is drawn by rng.choice over monotone_graphs row order, so
+    # these pin that order as well as the corpus.
+    pairs = generate_ep_corpus(6, 10, 5)
+    assert [tuple(p.embed.graph[v] for v in p.project.graph) for p in pairs] == [
+        (0, 0, 0, 3), (0, 1, 2), (0, 1, 2, 3, 4), (0, 0, 2, 3, 4), (0, 1, 2),
+        (0, 0, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 0, 0),
+    ]
+
+
 def test_generate_basis_corpus_half_reflexive():
     bases = generate_basis_corpus(7, 20, 5)
     assert len(bases) == 20

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import frontier_join_closure, nested_supcomplete_check, small_posets
+from conftest import frontier_join_closure, nested_supcomplete_check, pointwise_join, small_posets
 
 from dcpolab import expo
 from dcpolab.canonex import sierpinski
@@ -98,6 +98,7 @@ EMPTY = closure_from_covers((), [])
 )
 @example((EMPTY, chain(2)))
 @example((chain(2), EMPTY))
+@example((closure_from_covers(("hi", "lo"), [("lo", "hi")]), chain(3)))
 def test_monotone_graphs_is_the_sorted_product_filter(pair):
     dom, cod = pair
     graphs = monotone_graphs(dom, cod)
@@ -204,7 +205,7 @@ def test_every_map_is_join_of_steps_below(small_corpus):
             join = tuple([cod.bottom] * dom.n)
             for g in steps:
                 if all(cod.leq[g[i], f.graph[i]] for i in range(dom.n)):
-                    join = ex.join_graph(join, g)
+                    join = pointwise_join(cod, join, g)
             assert join == f.graph
 
 
@@ -345,7 +346,7 @@ def callback_step_basis(D, beta_d, E, beta_e):
     closure = frontier_join_closure(
         (E.bottom,) * D.n,
         generators,
-        ex.join_graph,
+        lambda g, h: pointwise_join(E, g, h),
         lambda g, h: ex.poset.leq[ex.index_of(g), ex.index_of(h)],
     )
     into = {label: ex.poset.elements[ex.index_of(g)] for g, label in closure}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -177,6 +178,36 @@ def test_from_rows_refuses_what_the_constructor_refuses(two_chain, rows):
         MonoMap(two_chain, two_chain, rows[-1])
     with pytest.raises(ShapeMismatch):
         MonoMap.from_rows(two_chain, two_chain, np.array(rows))
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_from_rows_leaves_the_collector_as_it_found_it(two_chain, monkeypatch, collecting):
+    def fail(*_args):
+        raise RuntimeError("fill failed")
+
+    prior = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert len(MonoMap.from_rows(two_chain, two_chain, monotone_graphs(two_chain, two_chain))) == 3
+        assert gc.isenabled() is collecting
+        with pytest.raises(ShapeMismatch):
+            MonoMap.from_rows(two_chain, two_chain, np.array([(0, 2)]))
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(MonoMap, "_fill", fail)
+        with pytest.raises(RuntimeError):
+            MonoMap.from_rows(two_chain, two_chain, np.array([(0, 1)]))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if prior else gc.disable)()
+
+
+@pytest.mark.parametrize("width", [0, 1, 4])
+def test_from_rows_graphs_are_tuples_of_ints(width):
+    D = closure_from_covers([f"x{i}" for i in range(width)], [])
+    maps = MonoMap.from_rows(D, D, monotone_graphs(D, D))
+    assert len(maps) == width**width
+    assert all(type(m.graph) is tuple and all(type(v) is int for v in m.graph) for m in maps)
+    assert maps == [MonoMap(D, D, g) for g in itertools.product(range(width), repeat=width)]
 
 
 @settings(deadline=None, max_examples=60)
