@@ -22,7 +22,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable
 
+import numpy as np
+
 from .errors import ParseError, PreconditionViolated
+from .finposet import bool_product
 
 MIDDLE = "M"
 
@@ -79,12 +82,15 @@ def dy_eq(x: str, y: str) -> bool:
 
 
 def to_rational(x: str) -> Fraction:
-    """Exact value in (-1, 1): M is 0, L halves toward -1, R halves toward 1."""
+    """Exact value in (-1, 1): M is 0, L halves toward -1, R halves toward 1.
+
+    The fold runs on the integer pair (num, den), since (num/den -/+ 1)/2 is
+    (num -/+ den)/(2 den); one ``Fraction`` at the end reduces it once."""
     _require(x)
-    q = Fraction(0)
+    num, den = 0, 1
     for c in reversed(x[:-1]):
-        q = (q - 1) / 2 if c == "L" else (q + 1) / 2
-    return q
+        num, den = (num - den if c == "L" else num + den), 2 * den
+    return Fraction(num, den)
 
 
 def dy_interpolant(x: str, y: str) -> str:
@@ -142,34 +148,57 @@ class DyadicBasis:
         return left(_require(x))
 
     def binary_witness(self, a1: str, a2: str, b: str) -> str:
-        if not (dy_prec(a1, b) and dy_prec(a2, b)):
+        """Trichotomy on a1 and a2, then density between the larger and b.
+
+        The witness depends on a1 and a2 only through the larger of the two
+        (a1 when they are equal or incomparable), so it equals
+        ``binary_witness(h, h, b)`` for that larger h; ``validate`` relies
+        on this."""
+        if not (self.prec(a1, b) and self.prec(a2, b)):
             raise PreconditionViolated("witness requested above a non-bound")
         if dy_eq(a1, a2):
             return dy_interpolant(a1, b)
-        hi = a2 if dy_prec(a1, a2) else a1
+        hi = a2 if self.prec(a1, a2) else a1
         return dy_interpolant(hi, b)
 
     def validate(self, max_depth: int) -> bool:
         """Exhaustively re-check the basis axioms on the depth-bounded carrier,
-        accepting constructive witnesses of any depth."""
+        accepting constructive witnesses of any depth.
+
+        Everything is read from ``self.prec``, tabulated once over the n
+        elements as ``P``; transitivity holds when ``P @ P`` adds nothing.
+        Binary interpolation asks, for all a1, a2 < b, that a1, a2 < w < b
+        with w = ``binary_witness(a1, a2, b)``.  That witness factors through
+        the larger argument h, so one witness per pair h < b suffices, and
+        the arguments it must lie above are the a <= h (one boolean product
+        against the table of a < w) together with the a < b incomparable to
+        h, of which a trichotomous order such as the dyadics' has none.  This
+        is the triple loop over (a1, a2, b), entry for entry, at O(n |W|)
+        calls of ``prec`` for the |W| distinct witnesses instead of n^3.
+        """
         elems = self.enumerate(max_depth)
-        for x in elems:
-            for y in elems:
-                if dy_prec(x, y):
-                    for z in elems:
-                        if dy_prec(y, z) and not dy_prec(x, z):
-                            return False
-        for x in elems:
-            if not dy_prec(self.nullary_witness(x), x):
-                return False
-        for b in elems:
-            for a1 in elems:
-                for a2 in elems:
-                    if dy_prec(a1, b) and dy_prec(a2, b):
-                        w = self.binary_witness(a1, a2, b)
-                        if not (dy_prec(a1, w) and dy_prec(a2, w) and dy_prec(w, b)):
-                            return False
-        return True
+        n = len(elems)
+        prec = self.prec
+        P = np.array([[prec(x, y) for y in elems] for x in elems], dtype=bool).reshape(n, n)
+        if (bool_product(P, P) & ~P).any():
+            return False
+        if not all(prec(self.nullary_witness(x), x) for x in elems):
+            return False
+        hs, bs = np.nonzero(P)
+        index = {}
+        col = np.array([index.setdefault(self.binary_witness(elems[h], elems[h], elems[b]), len(index))
+                        for h, b in zip(hs.tolist(), bs.tolist())], dtype=np.intp)
+        ws = list(index)
+        Q = np.array([[prec(a, w) for w in ws] for a in elems], dtype=bool).reshape(n, len(ws))
+        R = np.array([[prec(w, b) for b in elems] for w in ws], dtype=bool).reshape(len(ws), n)
+        if not R[col, bs].all():
+            return False
+        below_or_equal = P | np.eye(n, dtype=bool)
+        if bool_product(below_or_equal.T, ~Q)[hs, col].any():
+            return False
+        incomparable = ~(below_or_equal | P.T)
+        k = np.nonzero(incomparable[hs].any(axis=1))[0]
+        return not (incomparable[hs[k]] & P[:, bs[k]].T & ~Q[:, col[k]].T).any()
 
 
 def dyadic_abstract_basis() -> DyadicBasis:
@@ -208,15 +237,19 @@ def principal_stream(x: str) -> StreamIdeal:
 
     The chain starts at the interpolant between left(x) and x and keeps
     interpolating toward x; it is strictly increasing and cofinal in the
-    strict lower set of x by density.
+    strict lower set of x by density.  Each stream keeps the generators it
+    has computed, so ``chain(n)`` extends them on demand and probes every
+    interpolant once; a negative n gives the first generator, as the fold
+    from scratch does.
     """
     _require(x)
+    gens = []
 
     def chain(n: int) -> str:
-        g = dy_interpolant(left(x), x)
-        for _ in range(n):
-            g = dy_interpolant(g, x)
-        return g
+        n = max(n, 0)
+        while len(gens) <= n:
+            gens.append(dy_interpolant(gens[-1] if gens else left(x), x))
+        return gens[n]
 
     return StreamIdeal(chain=chain)
 

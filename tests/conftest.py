@@ -6,15 +6,16 @@ between an oracle and a production routine is a genuine two-route check.
 The exceptions are the loop versions of replaced routines
 (``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``,
 ``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up``, the
-``loop_*`` section-law checks and the ``loop_*`` mask routines): they read
-the same tables and maps as the vectorised code, and pin its outputs to
-theirs.
+``loop_*`` section-law checks, the ``loop_*`` mask routines, the dyadic
+``fold_*`` routines and ``loop_dyadic_validate``): they read the same tables
+and maps as the vectorised code, and pin its outputs to theirs.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from dcpolab import idealcomp
 from dcpolab.bilimit import Bilimit, Tower
 from dcpolab.cli import generate_corpus
+from dcpolab.dyadics import dy_interpolant, left
 from dcpolab.errors import IncompatibleTower, InvalidPoset, NotDirected, ShapeMismatch
 from dcpolab.finposet import (
     EpPair,
@@ -120,6 +122,41 @@ def naive_validate_abstract_basis(basis):
         if le(a1, b) and le(a2, b) and not any(le(a1, c) and le(a2, c) and le(c, b) for c in els):
             return False, ("binary-interpolation", a1, a2, b)
     return True, None
+
+
+def loop_dyadic_validate(basis, max_depth):
+    """The triple loop that ``DyadicBasis.validate`` replaced, reading the
+    basis's own ``prec``: transitivity (x, y, z), nullary interpolation (x),
+    binary interpolation (b, a1, a2)."""
+    elems, prec = basis.enumerate(max_depth), basis.prec
+    for x, y, z in itertools.product(elems, repeat=3):
+        if prec(x, y) and prec(y, z) and not prec(x, z):
+            return False
+    for x in elems:
+        if not prec(basis.nullary_witness(x), x):
+            return False
+    for b, a1, a2 in itertools.product(elems, repeat=3):
+        if prec(a1, b) and prec(a2, b):
+            w = basis.binary_witness(a1, a2, b)
+            if not (prec(a1, w) and prec(a2, w) and prec(w, b)):
+                return False
+    return True
+
+
+def fold_to_rational(x):
+    """The ``Fraction`` fold that ``dyadics.to_rational`` replaced."""
+    q = Fraction(0)
+    for c in reversed(x[:-1]):
+        q = (q - 1) / 2 if c == "L" else (q + 1) / 2
+    return q
+
+
+def fold_principal_chain(x, n):
+    """The n-th generator of ``principal_stream(x)``, interpolated from scratch."""
+    g = dy_interpolant(left(x), x)
+    for _ in range(n):
+        g = dy_interpolant(g, x)
+    return g
 
 
 def pointwise_join(target, g1, g2):

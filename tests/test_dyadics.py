@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from conftest import fold_principal_chain, fold_to_rational, loop_dyadic_validate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dcpolab.cli import main
 from dcpolab.dyadics import (
     DEFAULT_FUEL,
     MIDDLE,
+    DyadicBasis,
     FuelAnswer,
+    StreamIdeal,
     dy_eq,
     dy_interpolant,
     dy_no_endpoints,
@@ -30,6 +39,15 @@ from dcpolab.errors import ParseError, PreconditionViolated
 
 def rand_dyadic(rng, max_depth):
     return "".join(rng.choice("LR") for _ in range(rng.randint(0, max_depth))) + MIDDLE
+
+
+def paths(min_size, max_size):
+    """Constructor strings with ``min_size`` to ``max_size`` L/R constructors."""
+    return st.builds(
+        lambda n, seed: "".join(random.Random(seed).choice("LR") for _ in range(n)) + MIDDLE,
+        st.integers(min_size, max_size),
+        st.integers(0, 2**32),
+    )
 
 
 # ----------------------------------------------------------- order table
@@ -152,6 +170,105 @@ def test_basis_validates_exhaustively_depth6():
     assert dyadic_abstract_basis().validate(6)
 
 
+def test_basis_validates_exhaustively_depth7():
+    assert dyadic_abstract_basis().validate(7)
+
+
+class WitnessIsBound(DyadicBasis):
+    def binary_witness(self, a1, a2, b):
+        return b
+
+
+class WitnessIsLarger(DyadicBasis):
+    def binary_witness(self, a1, a2, b):
+        return a2 if self.prec(a1, a2) else a1
+
+
+class NullaryIsSelf(DyadicBasis):
+    def nullary_witness(self, x):
+        return x
+
+
+class DropsPair(DyadicBasis):
+    def prec(self, x, y):
+        return (x, y) != ("LM", "RM") and dy_prec(x, y)
+
+
+@pytest.mark.parametrize("basis", [DyadicBasis(), WitnessIsBound(), WitnessIsLarger(), NullaryIsSelf(), DropsPair()],
+                         ids=lambda b: type(b).__name__)
+@pytest.mark.parametrize("depth", range(5))
+def test_validate_matches_the_loop_oracle(basis, depth):
+    assert basis.validate(depth) == loop_dyadic_validate(basis, depth)
+
+
+def test_validate_reads_the_basis_own_order():
+    for depth in (1, 2, 3):
+        assert not DropsPair().validate(depth)
+
+
+@dataclass(frozen=True)
+class Incomparables(DyadicBasis):
+    """A toy order on letters, not the dyadics: a and h lie under b and are
+    incomparable; z lies under everything.  Each witness factors through the
+    larger argument (the first when they are incomparable), as in
+    ``DyadicBasis.binary_witness``."""
+
+    witness: dict
+    below = {"z": "ahbvwu", "a": "bvu", "h": "bwu", "v": "b", "w": "b", "u": "b", "b": ""}
+
+    def prec(self, x, y):
+        return y in self.below[x]
+
+    def enumerate(self, max_depth):
+        return ["a", "h", "b"]
+
+    def nullary_witness(self, x):
+        return "z"
+
+    def binary_witness(self, a1, a2, b):
+        return self.witness[a2 if self.prec(a1, a2) else a1]
+
+
+def test_validate_checks_incomparable_arguments():
+    # The witness v of (a, b) lies above a but not above h, so the pair
+    # (a1, a2) = (a, h) has no common witness; u lies above both.
+    assert not loop_dyadic_validate(Incomparables({"a": "v", "h": "w"}), 0)
+    assert not Incomparables({"a": "v", "h": "w"}).validate(0)
+    assert loop_dyadic_validate(Incomparables({"a": "u", "h": "u"}), 0)
+    assert Incomparables({"a": "u", "h": "u"}).validate(0)
+
+
+def test_binary_witness_factors_through_the_larger_argument():
+    basis = dyadic_abstract_basis()
+    elems = enumerate_dyadics(4)
+    for b in elems:
+        for a1 in elems:
+            for a2 in elems:
+                if dy_prec(a1, b) and dy_prec(a2, b):
+                    h = a2 if dy_prec(a1, a2) else a1
+                    assert basis.binary_witness(a1, a2, b) == basis.binary_witness(h, h, b)
+
+
+# ----------------------------------------------------------- deep paths
+
+@settings(max_examples=40, deadline=None)
+@given(paths(0, 5_000))
+@example("L" * 5_000 + MIDDLE)
+@example("R" * 5_000 + MIDDLE)
+def test_to_rational_matches_the_fraction_fold(x):
+    assert to_rational(x) == fold_to_rational(x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(paths(5_000, 5_000))
+def test_cmd_dyadic_rat_on_deep_paths(x):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["dyadic", "rat", format_path(x)])
+    q = fold_to_rational(x)
+    assert (code, out.getvalue()) == (0, f"{q.numerator}/{q.denominator}\n")
+
+
 # ----------------------------------------------------------- stream ideals
 
 def test_stream_member_examples():
@@ -206,6 +323,28 @@ def test_no_compact_ideals_evidence():
     rng = random.Random(9)
     for _ in range(50):
         assert no_compact_ideals_evidence(rand_dyadic(rng, 8), 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths(0, 12), st.lists(st.integers(-2, 16), max_size=8))
+@example("M", [5, 2, 9])
+def test_principal_chain_matches_the_fold_in_any_order(x, ns):
+    stream = principal_stream(x)
+    for n in ns:
+        assert stream.chain(n) == fold_principal_chain(x, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths(0, 8), paths(0, 8), paths(0, 8), st.integers(0, 16))
+def test_stream_answers_match_the_folded_streams(x, y, d, fuel):
+    def folded(z):
+        return StreamIdeal(chain=lambda n: fold_principal_chain(z, n))
+
+    assert stream_member(principal_stream(x), d, fuel) is stream_member(folded(x), d, fuel)
+    assert stream_way_below(principal_stream(x), principal_stream(y), fuel) is stream_way_below(
+        folded(x), folded(y), fuel
+    )
+    assert no_compact_ideals_evidence(x, fuel) is (stream_way_below(folded(x), folded(x), fuel) is FuelAnswer.UNKNOWN)
 
 
 def test_irreflexivity_bulk():
