@@ -13,18 +13,21 @@ Directified bases index by subsets of the single-step index, further
 normalised to one saturated subset per achievable join: finite lists of
 generators collapse to their member sets because joins are associative,
 commutative and idempotent, and subsets with the same join collapse to the
-largest of them.
+largest of them.  Over a lattice an element is in the join closure of the
+generators exactly when it is the join of those below it (bottom, the empty
+join, included), so the closure is read off the candidates with no fixpoint.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NotALattice, PreconditionViolated, TooLarge
-from .finposet import FinPoset, MonoMap, componentwise_leq
+from .finposet import FinPoset, MonoMap, bool_product, componentwise_leq
 from .idealcomp import basis_from_order, idl_ep_pair, idl_poset
 from .waybelow import BasisMap, check_small_basis, is_compact
 
@@ -119,10 +122,10 @@ class ExponentialPoset:
         D, E = self.source, self.target
         _require_lattice(E)
         labels = [(b, c) for b in beta_d.labels for c in beta_e.labels]
-        steps = [step_function(D, E, beta_d.value(b), beta_e.value(c)).graph for b, c in labels]
-        closure = _join_closure(E, D.n, labels, steps)
-        # Maps are named in sorted graph order, so the closure is in canonical order.
-        into = {label: self.poset.elements[self.index_of(g)] for g, label in closure}
+        steps = np.where(D.leq[beta_d.indices][:, None, :], beta_e.indices[None, :, None], E.bottom)
+        closure = _join_closure(E, self.graphs, labels, steps.reshape(len(labels), D.n))
+        # Row i of the sorted graphs is the map named elements[i]: canonical order.
+        into = {label: self.poset.elements[i] for i, label in closure}
         return BasisMap(self.poset, tuple(into), into)
 
 
@@ -166,28 +169,25 @@ def _require_lattice(P: FinPoset):
         raise NotALattice("poset lacks a least element or binary joins")
 
 
-def _join_closure(target: FinPoset, width: int, labels, rows):
-    """Close generator rows under pointwise joins, starting at the all-bottom row.
+def _join_closure(target: FinPoset, candidates, labels, gens):
+    """The join closure of generator rows, read off sorted candidate rows.
 
-    ``rows`` holds one row of ``width`` target indices per label.  Each round
-    joins only the rows found in the last round with every generator.  Returns
-    each achieved row, in sorted order, paired with the saturated set of
-    labels whose rows lie below it.
+    ``candidates`` and ``gens`` are rows of target indices of one width, the
+    candidates holding every join of generators.  Over a lattice a candidate
+    f lies in the closure (bottom, the empty join, included) exactly when it
+    is the join of the generators below it: when f(x) <= e holds exactly
+    where every generator g below f has g(x) <= e.  Which generators lie
+    below f, and the pairs (x, e) where one of them escapes e, are two
+    boolean products; there is no fixpoint.  Returns the index of each such
+    candidate paired with the saturated set of labels whose rows lie below it.
     """
-    gens = np.array(rows, dtype=np.intp).reshape(len(labels), width)
-    achieved = {(target.bottom,) * width}
-    frontier = np.array(list(achieved), dtype=np.intp)
-    while len(frontier):
-        joins = target.lub_table[frontier[:, None], gens].reshape(len(frontier) * len(gens), width)
-        fresh = {tuple(row) for row in joins.tolist()} - achieved
-        achieved |= fresh
-        frontier = np.array(list(fresh), dtype=np.intp).reshape(len(fresh), width)
-    ordered = sorted(achieved)
-    below = target.leq[gens, np.array(ordered, dtype=np.intp).reshape(len(ordered), 1, width)]
-    return [
-        (row, frozenset(l for l, hit in zip(labels, hits) if hit))
-        for row, hits in zip(ordered, below.all(axis=2).tolist())
-    ]
+    width = candidates.shape[1] * target.n
+    # [row, x * n + e]: the row's value at x is not below e
+    gens_out = ~target.leq[gens].reshape(len(gens), width)
+    cand_out = ~target.leq[candidates].reshape(len(candidates), width)
+    below = ~bool_product(~cand_out, gens_out.T)
+    kept = np.flatnonzero((bool_product(below, gens_out) == cand_out).all(axis=1))
+    return [(i, frozenset(itertools.compress(labels, below[i]))) for i in kept.tolist()]
 
 
 def step_basis(D: FinPoset, beta_d: BasisMap, E: FinPoset, beta_e: BasisMap) -> BasisMap:
@@ -216,9 +216,9 @@ class JoinClosedBasis:
 def close_basis_under_joins(P: FinPoset, beta: BasisMap) -> JoinClosedBasis:
     """Directify a basis on a lattice; the result is join-closed by design."""
     _require_lattice(P)
-    closure = _join_closure(P, 1, beta.labels, beta.indices)
-    into = {label: P.elements[v] for (v,), label in closure}
-    bot_label = next(label for (v,), label in closure if v == P.bottom)
+    closure = _join_closure(P, np.arange(P.n)[:, None], beta.labels, beta.indices[:, None])
+    into = {label: P.elements[v] for v, label in closure}
+    bot_label = next(label for v, label in closure if v == P.bottom)
     return JoinClosedBasis(BasisMap(P, tuple(into), into), bot_label)
 
 

@@ -365,8 +365,21 @@ def callback_close_basis(P, beta):
     return tuple(into), into, next(label for v, label in closure if v == P.bottom)
 
 
+# Degenerate shapes: no labels, every label on one value, and an empty source,
+# whose one empty map is the only candidate and the generators have no columns.
+CHAIN3 = chain(3)
+NO_BASIS = (CHAIN3, BasisMap(CHAIN3, (), {}))
+ONE_VALUE = (CHAIN3, BasisMap(CHAIN3, ("a", "b", "c"), dict.fromkeys("abc", "c1")))
+FULL_CHAIN3 = (CHAIN3, BasisMap.identity(CHAIN3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(lattice_sub_bases(), lattice_sub_bases())
+@example(FULL_CHAIN3, NO_BASIS)
+@example(NO_BASIS, FULL_CHAIN3)
+@example(ONE_VALUE, ONE_VALUE)
+@example((EMPTY, BasisMap.identity(EMPTY)), FULL_CHAIN3)
+@example((EMPTY, BasisMap.identity(EMPTY)), NO_BASIS)
 def test_step_basis_matches_callback_closure(source, target):
     (D, beta_d), (E, beta_e) = source, target
     basis = step_basis(D, beta_d, E, beta_e)
@@ -375,6 +388,9 @@ def test_step_basis_matches_callback_closure(source, target):
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_sub_bases())
+@example(NO_BASIS)
+@example(ONE_VALUE)
+@example((chain(1), BasisMap(chain(1), ("a", "b"), dict.fromkeys("ab", "c0"))))
 def test_close_basis_under_joins_matches_callback_closure(pair):
     P, beta = pair
     closed = close_basis_under_joins(P, beta)
