@@ -1,9 +1,12 @@
 """Abstract bases and their rounded ideal completions.
 
 A finite abstract basis keeps its carrier as a tuple of hashable labels and
-its transitive relation as a boolean matrix.  Ideals are frozensets of carrier
+its transitive relation as a boolean matrix, and tabulates its principal
+ideals once, from the columns of that matrix.  Ideals are frozensets of carrier
 members; the completed poset names each ideal by the brace-wrapped, canonically
-ordered member list.
+ordered member list.  ``idl_poset`` builds the completion once per basis
+object and keeps it on the basis, with a table from each ideal to its name, so
+later checks on the same basis reuse it and its poset's cached tables.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ from .finposet import (
 from .waybelow import BasisMap, check_small_basis, check_small_compact_basis, way_below_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbstractBasis:
-    """A carrier with a transitive relation satisfying interpolation."""
+    """A carrier with a transitive relation satisfying interpolation.
+
+    Equal, and hashed alike, when carriers and relation matrices agree."""
 
     carrier: tuple
     prec: np.ndarray
@@ -91,10 +96,26 @@ class AbstractBasis:
         return bool(self.prec[np.diag_indices(self.n)].all()) if self.n else True
 
     @cached_property
+    def _principal_ideals(self) -> tuple:
+        """Entry j is {a | a < carrier[j]}, read off column j of ``prec``."""
+        return tuple(frozenset(self.carrier[i] for i in np.flatnonzero(col)) for col in self.prec.T)
+
+    @cached_property
     def names(self) -> tuple:
         if all(isinstance(c, str) for c in self.carrier) and len(set(self.carrier)) == self.n:
             return self.carrier
         return tuple(f"b{i}" for i in range(self.n))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AbstractBasis)
+            and self.carrier == other.carrier
+            and self.prec.shape == other.prec.shape
+            and bool((self.prec == other.prec).all())
+        )
+
+    def __hash__(self):
+        return hash((self.carrier, self.prec.shape, self.prec.tobytes()))
 
 
 def validate_abstract_basis(basis: AbstractBasis):
@@ -172,8 +193,7 @@ def is_ideal(basis: AbstractBasis, subset) -> bool:
 
 def principal_ideal(basis: AbstractBasis, member) -> frozenset:
     """Everything strictly under the member: {a | a < member}."""
-    j = basis.index(member)
-    return frozenset(basis.carrier[i] for i in range(basis.n) if basis.prec[i, j])
+    return basis._principal_ideals[basis.index(member)]
 
 
 def ideal_is_rounded(basis: AbstractBasis, ideal) -> bool:
@@ -197,7 +217,15 @@ class IdealCompletion:
     poset: FinPoset
 
     def name_of(self, ideal) -> str:
-        return ideal_name(self.basis, ideal)
+        try:
+            return self._names[ideal]
+        except (KeyError, TypeError):  # not an ideal of this basis, or unhashable
+            return ideal_name(self.basis, ideal)
+
+    @cached_property
+    def _names(self) -> dict:
+        """Each ideal's name: ``poset.elements`` lists them in ``ideals`` order."""
+        return dict(zip(self.ideals, self.poset.elements))
 
     def ideal_of(self, name) -> frozenset:
         return self.ideals[self.poset.index(name)]
@@ -215,12 +243,19 @@ def idl_poset(basis: AbstractBasis) -> IdealCompletion:
     another (its b1 == b2 pair clause, the predicate of ``ideal_is_rounded``).
     Directed unions of ideals need no check: a finite directed set of ideals
     holds its greatest member, so its union is that ideal.
+
+    Built once per basis object and kept on it, as ``FinPoset`` keeps its
+    tables, so the completion, its poset and their tables are shared by every
+    later call on the same basis.
     """
-    im = _ideal_masks(basis)
-    ideals = tuple(_members(basis, m) for m in im.tolist())
-    names = tuple(ideal_name(basis, ideal) for ideal in ideals)
-    poset = FinPoset(names, (im[:, None] & ~im[None, :]) == 0)
-    return IdealCompletion(basis, ideals, poset)
+    completion = basis.__dict__.get("_completion")
+    if completion is None:
+        im = _ideal_masks(basis)
+        ideals = tuple(_members(basis, m) for m in im.tolist())
+        names = tuple(ideal_name(basis, ideal) for ideal in ideals)
+        poset = FinPoset(names, (im[:, None] & ~im[None, :]) == 0)
+        completion = basis.__dict__["_completion"] = IdealCompletion(basis, ideals, poset)
+    return completion
 
 
 def idl_way_below(basis: AbstractBasis, i_ideal, j_ideal) -> bool:
@@ -253,13 +288,15 @@ def mediating_map(completion: IdealCompletion, assignment, target: FinPoset) -> 
     if len(broken):
         a, b = (basis.carrier[i] for i in broken[0])
         raise NotMonotone(f"assignment breaks monotonicity at {a!r} < {b!r}")
-    sups = (directed_sup(target, [values[m] for m in ideal]) for ideal in completion.ideals)
+    bit = {b: 1 << i for b, i in zip(basis.carrier, v)}
+    # The image of an ideal as a target mask: the sum of its distinct bits.
+    sups = (directed_sup(target, sum({bit[m] for m in ideal})) for ideal in completion.ideals)
     out = MonoMap(completion.poset, target, [target.index(sup) for sup in sups])
     if not is_scott_continuous(out):
         raise NotMonotone("extension failed to be continuous")
     if basis.is_reflexive():
         for b in basis.carrier:
-            if out.apply(ideal_name(basis, principal_ideal(basis, b))) != values[b]:
+            if out.apply(completion.name_of(principal_ideal(basis, b))) != values[b]:
                 raise NotMonotone(f"extension misses the assignment at {b!r}")
     return out
 
@@ -327,7 +364,7 @@ def idl_ep_pair(poset: FinPoset, beta: BasisMap, *, use_way_below):
     for x in poset.elements:
         fiber = frozenset(beta.way_fiber(x))
         try:
-            graph.append(completion.poset.index(ideal_name(ab, fiber)))
+            graph.append(completion.poset.index(completion.name_of(fiber)))
         except UnknownElement:
             raise NotABasis(f"fiber of {x} is not an ideal of the derived basis") from None
     section = MonoMap(poset, completion.poset, graph)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     fold_directify,
+    loop_directed_sup,
     loop_idl_iso_continuous_check,
     naive_ideals,
     naive_is_ideal,
@@ -24,7 +25,7 @@ from dcpolab.canonex import powerset, sierpinski
 from dcpolab.cli import generate_basis_corpus, generate_lattice_corpus
 from dcpolab.errors import CarrierTooLarge, NoJoins, NotMonotone, UnknownElement
 from dcpolab.expo import enumerate_monotone_maps
-from dcpolab.finposet import closure_from_covers, is_scott_continuous, validate_ep_pair
+from dcpolab.finposet import FinPoset, closure_from_covers, is_scott_continuous, validate_ep_pair
 from dcpolab.idealcomp import (
     AbstractBasis,
     basis_from_order,
@@ -37,6 +38,7 @@ from dcpolab.idealcomp import (
     idl_iso_algebraic_check,
     idl_iso_continuous_check,
     idl_poset,
+    ideal_name,
     idl_way_below,
     is_ideal,
     mediating_map,
@@ -483,3 +485,79 @@ def test_abstract_basis_index_first_position_and_unknown_member():
     for member in ("zz", ["x"]):
         with pytest.raises(UnknownElement, match=r"is not in the carrier$"):
             basis.index(member)
+
+
+def test_separately_built_bases_and_completions_are_equal_and_hash_alike():
+    first, second = reflexive_two_chain(), reflexive_two_chain()
+    assert first is not second and first.prec is not second.prec
+    assert first == second and hash(first) == hash(second)
+    assert idl_poset(first) == idl_poset(second)
+    assert hash(idl_poset(first)) == hash(idl_poset(second))
+    strict = AbstractBasis(first.carrier, first.prec & ~np.eye(2, dtype=bool))
+    assert first != strict and first != first.carrier
+    assert AbstractBasis.from_pairs((), ()) == AbstractBasis((), np.zeros((0, 0), bool))
+
+
+def strict_topped_chain():
+    """a < b < c with a and b reflexive and c not."""
+    return AbstractBasis.from_pairs(
+        ("a", "b", "c"),
+        [("a", "a"), ("b", "b"), ("a", "b"), ("a", "c"), ("b", "c")],
+    )
+
+
+def table_corpus():
+    return generate_basis_corpus(43, 16, 5) + [strict_topped_chain()]
+
+
+def test_completion_tables_match_the_direct_routes():
+    for basis in table_corpus():
+        completion = idl_poset(basis)
+        assert idl_poset(basis) is completion
+        for j, b in enumerate(basis.carrier):
+            column = frozenset(basis.carrier[i] for i in range(basis.n) if basis.prec[i, j])
+            assert principal_ideal(basis, b) == column
+        for name, ideal in zip(completion.poset.elements, completion.ideals):
+            assert completion.name_of(ideal) == ideal_name(basis, ideal) == name
+            assert completion.name_of(sorted(ideal)) == name
+            assert completion.name_of(set(ideal)) == name
+        assert completion.name_of(frozenset()) == ideal_name(basis, frozenset()) == "{}"
+        with pytest.raises(UnknownElement):
+            completion.name_of(["zz"])
+
+
+def test_idl_basis_check_reuses_the_completion():
+    for basis in table_corpus()[:4]:
+        idl_poset(basis)
+        with mock.patch.object(idealcomp, "_ideal_masks", side_effect=AssertionError("rebuilt")):
+            assert idl_basis_check(basis)
+
+
+def test_mediating_map_matches_the_per_ideal_loop():
+    for basis in table_corpus():
+        completion = idl_poset(basis)
+        leq = basis.prec | np.eye(basis.n, dtype=bool)
+        # the host in carrier order and reversed, so no index order hides the sup
+        hosts = [FinPoset(basis.carrier, leq), FinPoset(basis.carrier[::-1], leq[::-1, ::-1])]
+        identity = {b: b for b in basis.carrier}
+        principal = {b: completion.name_of(principal_ideal(basis, b)) for b in basis.carrier}
+        for target, assignment in [(host, identity) for host in hosts] + [(completion.poset, principal)]:
+            out = mediating_map(completion, assignment, target)
+            expected = [
+                target.index(loop_directed_sup(target, {assignment[m] for m in ideal}))
+                for ideal in completion.ideals
+            ]
+            assert list(out.graph) == expected
+
+
+def test_repeated_label_keeps_the_names_ideal_name_gives():
+    # positions 0 and 2 both carry x and lie under each other; y lies under both
+    prec = np.array([[1, 0, 1], [1, 1, 1], [1, 0, 1]], dtype=bool)
+    basis = AbstractBasis(("x", "y", "x"), prec)
+    completion = idl_poset(basis)
+    assert completion.ideals == (frozenset("y"), frozenset("xy"))
+    assert completion.poset.elements == ("{b1}", "{b0,b1}")
+    for ideal in completion.ideals:
+        assert completion.name_of(ideal) == ideal_name(basis, ideal)
+    assert principal_ideal(basis, "x") == frozenset("xy")
+    assert completion.principal_basis().into == {"x": "{b0,b1}", "y": "{b1}"}
