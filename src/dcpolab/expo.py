@@ -3,7 +3,9 @@
 The carrier of an exponential is one sorted array of monotone-map graphs,
 grown level by level along a linear extension of the source: a partial row
 keeps a value when it lies above the values of every predecessor.  Elements
-are named ``f0, f1, ...`` in the row order of that array.
+are named ``f0, f1, ...`` in the row order of that array.  Each source
+poset keeps the exponentials taken from it, so a step basis, a tower stage
+and a retract read the carrier an earlier call built.
 
 Step functions use the decidable case split (value above the threshold,
 bottom elsewhere); on a decidable order this agrees with the
@@ -46,34 +48,32 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
     e.  Partial rows are monotone already, so that is the same filter as
     over every predecessor.  Each kept partial row counts as one search node
     against the budget, which is checked before a level is allocated.
+    A level decides its values in blocks, each one array pass over every
+    parent row (``_grown_level``).
 
     Each level is laid out row-major, by parent row and then by value, so
     sorted parents give sorted children.  When the element order is itself
-    a linear extension (``leq`` upper-triangular, as for every exponential,
+    a linear extension (every cover pair rises in it, as for every exponential,
     tower stage and bilimit, whose elements are named in sorted graph
     order), the growth runs in that order and the rows come out sorted.
     Otherwise it runs fewest elements below first, ties in element order,
     and the rows are sorted at the end.
     """
-    in_order = not np.tril(D.leq, -1).any()
+    lower, upper = np.nonzero(D.cover_matrix)
+    in_order = bool((lower < upper).all())
     topo = list(range(D.n)) if in_order else np.argsort(D.leq.sum(axis=0), kind="stable").tolist()
     column = {x: k for k, x in enumerate(topo)}
+    covers = [[] for _ in range(D.n)]
+    for c, x in zip(lower.tolist(), upper.tolist()):
+        covers[x].append(column[c])
     rows = np.zeros((1, 0), dtype=np.intp)
     nodes = 0
     for k, x in enumerate(topo):
-        below = rows[:, [column[c] for c in np.flatnonzero(D.cover_matrix[:, x]).tolist()]]
-        kept = []
-        for e in range(E.n):
-            kept.append(np.flatnonzero(E.leq[below, e].all(axis=1)))
-            nodes += len(kept[-1])
-            if nodes > node_budget:
-                budget = "NODE_BUDGET" if node_budget == NODE_BUDGET else "node_budget"
-                raise TooLarge(f"monotone-map search reached {nodes} nodes, past {budget} ({node_budget})")
-        parents = np.concatenate(kept) if kept else np.empty(0, dtype=np.intp)
-        order = np.argsort(parents, kind="stable")
+        below = [rows[:, j] for j in covers[x]]
+        parents, values, nodes = _grown_level(len(rows), below, E.leq, nodes, node_budget)
         level = np.empty((len(parents), k + 1), dtype=np.intp)
-        level[:, :k] = rows[parents[order]]
-        level[:, k] = np.repeat(np.arange(E.n), list(map(len, kept)))[order]
+        level[:, :k] = rows[parents]
+        level[:, k] = values
         rows = level
     if in_order:
         graphs = rows
@@ -83,6 +83,48 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
         graphs = graphs[np.lexsort(graphs.T[::-1])]
     graphs.setflags(write=False)
     return graphs
+
+
+# Cells (partial rows times candidate values) that one block of a level decides.
+_LEVEL_CELLS = 1 << 20
+
+
+def _grown_level(n_rows, below, leq, nodes, node_budget):
+    """The kept (parent, value) pairs of one level, parent-major, and the
+    node count after it.
+
+    ``below`` holds, per lower cover, the value of every parent row there.
+    The values are decided a block at a time, each block one gather of at
+    most ``_LEVEL_CELLS`` cells (one row per parent, or one value per block
+    when the parents alone exceed that).  The budget trips at the count a
+    value-at-a-time search reaches: a block that would pass it is counted
+    value by value, as a cumulative sum, before any of its pairs are kept.
+    A block's flat indices list its pairs parent-major; pairs from several
+    blocks are merged by a stable sort on the parent.
+    """
+    width = max(1, _LEVEL_CELLS // max(n_rows, 1))
+    parents, values = [], []
+    for lo in range(0, leq.shape[0], width):
+        block = np.ascontiguousarray(leq[:, lo : lo + width])
+        ok = block.take(below[0], axis=0) if below else np.ones((n_rows, block.shape[1]), bool)
+        for col in below[1:]:
+            ok &= block.take(col, axis=0)
+        kept = np.count_nonzero(ok)
+        if nodes + kept > node_budget:
+            counts = nodes + np.cumsum(np.count_nonzero(ok, axis=0))
+            reached = counts[np.argmax(counts > node_budget)]
+            budget = "NODE_BUDGET" if node_budget == NODE_BUDGET else "node_budget"
+            raise TooLarge(f"monotone-map search reached {reached} nodes, past {budget} ({node_budget})")
+        nodes += kept
+        parent, value = np.divmod(np.flatnonzero(ok), block.shape[1])
+        parents.append(parent)
+        values.append(value + lo)
+    if len(parents) == 1:
+        return parents[0], values[0], nodes
+    parents = np.concatenate(parents) if parents else np.empty(0, dtype=np.intp)
+    values = np.concatenate(values) if values else np.empty(0, dtype=np.intp)
+    order = np.argsort(parents, kind="stable")
+    return parents[order], values[order], nodes
 
 
 def enumerate_monotone_maps(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET):
@@ -130,14 +172,27 @@ class ExponentialPoset:
 
 
 def exponential(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) -> ExponentialPoset:
-    graphs = monotone_graphs(D, E, node_budget)
-    if len(graphs) > CARRIER_BUDGET:
-        raise TooLarge(
-            f"exponential carrier of {len(graphs)} maps exceeds CARRIER_BUDGET ({CARRIER_BUDGET})"
-        )
-    width = len(str(max(len(graphs) - 1, 0)))
-    names = tuple(f"f{i:0{width}d}" for i in range(len(graphs)))
-    return ExponentialPoset(D, E, graphs, FinPoset(names, componentwise_leq([E] * D.n, graphs)))
+    """The monotone maps D -> E under the pointwise order.
+
+    The carrier and its order are built once per pair of posets: they are
+    kept on ``D`` (in its ``__dict__``, as ``waybelow`` keeps its relations),
+    keyed by the value of ``E`` (its elements and order bytes) and the
+    budget, and they live as long as ``D`` does.  The memo holds the graphs
+    and the poset, neither of which refers back to ``D`` or ``E``, so it
+    makes no reference cycle.  A refused carrier is not kept.
+    """
+    memo = D.__dict__.setdefault("_exponentials", {})
+    key = (E.elements, E.leq.tobytes(), node_budget)
+    if key not in memo:
+        graphs = monotone_graphs(D, E, node_budget)
+        if len(graphs) > CARRIER_BUDGET:
+            raise TooLarge(
+                f"exponential carrier of {len(graphs)} maps exceeds CARRIER_BUDGET ({CARRIER_BUDGET})"
+            )
+        width = len(str(max(len(graphs) - 1, 0)))
+        names = tuple(f"f{i:0{width}d}" for i in range(len(graphs)))
+        memo[key] = graphs, FinPoset(names, componentwise_leq([E] * D.n, graphs))
+    return ExponentialPoset(D, E, *memo[key])
 
 
 def step_function(D: FinPoset, E: FinPoset, d, e) -> MonoMap:

@@ -227,9 +227,6 @@ class IdealCompletion:
         """Each ideal's name: ``poset.elements`` lists them in ``ideals`` order."""
         return dict(zip(self.ideals, self.poset.elements))
 
-    def ideal_of(self, name) -> frozenset:
-        return self.ideals[self.poset.index(name)]
-
     def principal_basis(self) -> BasisMap:
         """The principal-ideal map, as a basis candidate for the completion."""
         into = {b: self.name_of(principal_ideal(self.basis, b)) for b in self.basis.carrier}

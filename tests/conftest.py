@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from dcpolab import idealcomp
+from dcpolab import expo, idealcomp
 from dcpolab.bilimit import Bilimit, Tower
 from dcpolab.cli import generate_corpus
 from dcpolab.dyadics import dy_interpolant, left
@@ -508,3 +508,17 @@ def small_corpus():
 def medium_corpus():
     """A hundred posets of size at most 7."""
     return generate_corpus(23, 100, 7)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The sizes (source, target) of each monotone-map search ``expo`` runs."""
+    calls = []
+    search = expo.monotone_graphs
+
+    def counted(D, E, *args):
+        calls.append((D.n, E.n))
+        return search(D, E, *args)
+
+    monkeypatch.setattr(expo, "monotone_graphs", counted)
+    return calls

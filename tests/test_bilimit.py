@@ -17,7 +17,7 @@ from dcpolab.bilimit import (
 )
 from dcpolab.canonex import sierpinski
 from dcpolab.cli import generate_ep_corpus
-from dcpolab.errors import NotApproximating, StageTooLarge
+from dcpolab.errors import IncompatibleTower, NotApproximating, StageTooLarge
 from dcpolab.expo import exponential, step_basis
 from dcpolab.finposet import (
     EpPair,
@@ -231,6 +231,24 @@ def test_dinfty_demo_report():
     assert report["basis_sizes"] == [2, 3, 10]
     assert report["bilimit_size"] == 10
     assert all(report["laws"].values())
+
+
+def test_dinfty_demo_runs_one_search_per_stage(searches):
+    # the step bases read the exponentials scott_tower built
+    report = dinfty_demo(2)
+    assert searches == [(2, 2), (3, 3)]
+    assert all(report["laws"].values())
+
+
+def test_tower_with_a_failing_pair_is_refused(tower2):
+    # dinfty_demo's ep_pairs law is the verdict of this constructor
+    low, high = tower2.stages[1], tower2.stages[2]
+    # the constant map at bottom is monotone, but it undoes no embedding
+    bottom = MonoMap(high, low, [low.bottom] * high.n)
+    broken = EpPair(embed=tower2.pairs[1].embed, project=bottom)
+    assert not validate_ep_pair(broken)
+    with pytest.raises(IncompatibleTower, match="pair 1 fails"):
+        Tower(tower2.stages, (tower2.pairs[0], broken))
 
 
 def down_families(bilim, sigma):

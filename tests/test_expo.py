@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +309,77 @@ def test_exp_basis_via_retract_enumerates_each_exponential_once(monkeypatch):
     dom, cod = generate_lattice_corpus(61, 2, 3)
     exp_basis_via_retract(dom, BasisMap.identity(dom), cod, BasisMap.identity(cod))
     assert len(calls) == 2
+
+
+def test_step_basis_reads_the_exponential_already_built(searches):
+    dom, cod = generate_lattice_corpus(71, 2, 4)
+    ex = exponential(dom, cod)
+    basis = step_basis(dom, BasisMap.identity(dom), cod, BasisMap.identity(cod))
+    assert searches == [(dom.n, cod.n)]
+    assert basis.poset is ex.poset
+    again = exponential(dom, cod)
+    assert again.graphs is ex.graphs and again == ex and searches == [(dom.n, cod.n)]
+
+
+def test_exponential_memo_keys_on_the_budget_and_the_source_object(searches):
+    dom, cod = chain(3), chain(4)
+    ex = exponential(dom, cod)
+    # an equal target built afresh is the same key
+    assert exponential(dom, chain(4)).graphs is ex.graphs and len(searches) == 1
+    # another budget, or an equal source built afresh, searches again
+    assert np.array_equal(exponential(dom, cod, node_budget=10_000).graphs, ex.graphs)
+    assert np.array_equal(exponential(chain(3), cod).graphs, ex.graphs)
+    assert len(searches) == 3
+    # a refused search is not kept: it raises each time
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="past node_budget"):
+            exponential(dom, cod, node_budget=3)
+    assert len(searches) == 5
+    # a different target is a different key
+    assert len(exponential(dom, chain(2)).graphs) == 4 and len(searches) == 6
+
+
+def test_exponential_memo_makes_no_reference_cycle():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dom, cod = chain(3), chain(4)
+        ex = exponential(dom, cod)
+        step_basis(dom, BasisMap.identity(dom), cod, BasisMap.identity(cod))
+        # FinPoset takes no weak references: its order matrix stands for it
+        arrays = [weakref.ref(a) for a in (ex.graphs, ex.poset.leq, dom.leq)]
+        del ex, dom, cod
+        # reference counting alone frees the memo: nothing waits for the collector
+        assert all(ref() is None for ref in arrays)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _search_outcome(D, E, budget):
+    try:
+        return monotone_graphs(D, E, node_budget=budget).tolist()
+    except TooLarge as err:
+        return str(err)
+
+
+def test_blocked_levels_match_the_one_block_search(monkeypatch):
+    # Five cells a block splits every level of these searches into several
+    # blocks (and, past five parent rows, into one value a block).
+    antichain = closure_from_covers(("a", "b", "c"), [])
+    # element order not a linear extension: the search runs in another order
+    unsorted = closure_from_covers(("p0", "p1", "p2"), [("p2", "p1"), ("p1", "p0")])
+    pairs = [(chain(4), chain(4)), (chain(3), antichain), (unsorted, chain(3)), (chain(2), EMPTY)]
+    lattices = generate_lattice_corpus(73, 4, 4)
+    pairs += list(zip(lattices[::2], lattices[1::2]))
+    budgets = range(0, 120)
+    one_block = [[_search_outcome(D, E, b) for b in budgets] for D, E in pairs]
+    monkeypatch.setattr(expo, "_LEVEL_CELLS", 5)
+    blocked = [[_search_outcome(D, E, b) for b in budgets] for D, E in pairs]
+    assert blocked == one_block
+    # both graphs and refusals occur, so both the merge and the trip count are compared
+    outcomes = [o for per_pair in one_block for o in per_pair]
+    assert any(isinstance(o, str) for o in outcomes) and any(isinstance(o, list) for o in outcomes)
 
 
 def test_exp_basis_via_retract_requires_lattice(two_chain):
