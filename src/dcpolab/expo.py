@@ -95,10 +95,10 @@ def _grown_level(n_rows, below, leq, nodes, node_budget):
 
     ``below`` holds, per lower cover, the value of every parent row there.
     The values are decided a block at a time, each block one gather of at
-    most ``_LEVEL_CELLS`` cells (one row per parent, or one value per block
-    when the parents alone exceed that).  The budget trips at the count a
-    value-at-a-time search reaches: a block that would pass it is counted
-    value by value, as a cumulative sum, before any of its pairs are kept.
+    most ``_LEVEL_CELLS`` cells, or of a single value when the parent rows
+    alone exceed that.  The budget trips at the count a value-at-a-time
+    search reaches: a block that would pass it is counted value by value,
+    as a cumulative sum, before any of its pairs are kept.
     A block's flat indices list its pairs parent-major; pairs from several
     blocks are merged by a stable sort on the parent.
     """
