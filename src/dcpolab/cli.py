@@ -75,23 +75,26 @@ def emit_dot(poset: FinPoset) -> str:
 
 # ---------------------------------------------------------------- corpora
 
+def _random_dag_poset(rng: random.Random, max_size: int, densities) -> FinPoset:
+    """A random DAG on 2 to ``max_size`` index-ordered elements, each forward
+    pair an edge with one density drawn from the range ``densities``, closed
+    up to a partial order."""
+    n = rng.randint(2, max_size)
+    elements = [f"e{i}" for i in range(n)]
+    density = rng.uniform(*densities)
+    covers = [
+        (elements[i], elements[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return closure_from_covers(elements, covers)
+
+
 def generate_corpus(seed: int, count: int, max_size: int):
-    """Reproducible random posets: a random DAG on index-ordered elements,
-    closed up to a partial order."""
+    """Reproducible random posets, random DAGs closed up to partial orders."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(2, max_size)
-        elements = [f"e{i}" for i in range(n)]
-        density = rng.uniform(0.15, 0.5)
-        covers = [
-            (elements[i], elements[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        out.append(closure_from_covers(elements, covers))
-    return out
+    return [_random_dag_poset(rng, max_size, (0.15, 0.5)) for _ in range(count)]
 
 
 def generate_lattice_corpus(seed: int, count: int, max_size: int):
@@ -99,16 +102,7 @@ def generate_lattice_corpus(seed: int, count: int, max_size: int):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(2, max_size)
-        elements = [f"e{i}" for i in range(n)]
-        density = rng.uniform(0.2, 0.6)
-        covers = [
-            (elements[i], elements[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        poset = closure_from_covers(elements, covers)
+        poset = _random_dag_poset(rng, max_size, (0.2, 0.6))
         if poset.is_lattice():
             out.append(poset)
     return out
@@ -319,13 +313,18 @@ def cmd_tower(args) -> int:
         ok = ok and passed
     text = "\n".join(lines) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(str(exc)) from exc
     sys.stdout.write(text)
     return 0 if ok else 1
 
 
 def cmd_dyadic(args) -> int:
+    if args.b is None and args.action != "rat":
+        raise ParseError(f"dyadic {args.action} needs a second operand")
     if args.action == "cmp":
         x, y = dyadics.parse_path(args.a), dyadics.parse_path(args.b)
         if dyadics.dy_prec(x, y):
@@ -354,14 +353,22 @@ def cmd_dyadic(args) -> int:
     raise ParseError(f"unknown dyadic action {args.action!r}")
 
 
+def _example_size(name: str) -> int:
+    """The N of an example named 'kind:N', a non-negative integer."""
+    size = name.split(":", 1)[1]
+    if not size.isdecimal():
+        raise ParseError(f"expected a non-negative integer after ':' in {name!r}")
+    return int(size)
+
+
 def cmd_example(args) -> int:
     name = args.name
     if name == "sierpinski":
         poset, basis = canonex.sierpinski()
     elif name.startswith("lifting:"):
-        poset, basis = canonex.lifting(int(name.split(":", 1)[1]))
+        poset, basis = canonex.lifting(_example_size(name))
     elif name.startswith("powerset:"):
-        lattice, lists = canonex.powerset(int(name.split(":", 1)[1]))
+        lattice, lists = canonex.powerset(_example_size(name))
         poset, basis = lattice.poset, lists.basis
     else:
         raise ParseError(f"unknown example {name!r}")

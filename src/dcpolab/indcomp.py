@@ -4,14 +4,21 @@ Quantifiers over "all directed families" range over all directed subsets of
 the host: every directed family in a finite poset exceeds, and is exceeded by,
 the family carried by its image, so the subsets are a complete set of
 representatives (README, "finite semantics").
+
+Everything below reads one fact of every preorder: family a exceeds family b
+exactly when a's down-closure (the host elements below some member of a) lies
+inside b's, by reflexivity one way and transitivity the other.  So a family
+travels as the bitmask of its image, and each check is a mask operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotDirected
-from .finposet import FinPoset, directed_sup, is_directed
+from .finposet import FinPoset, _bits, directed_sup, is_directed
 from .waybelow import approximates
 
 
@@ -42,13 +49,22 @@ class DirectedFamily:
         return directed_sup(self.poset, self.image_names())
 
 
+def _image(poset: FinPoset, fam) -> int:
+    """The bitmask of the host elements a family takes as values."""
+    return poset.mask_of(fam.image_names())
+
+
+def _down(poset: FinPoset, fam) -> int:
+    """The bitmask of the host elements below some member of a family: those
+    whose up-set meets its image."""
+    image = _image(poset, fam)
+    return sum(1 << u for u, up in enumerate(poset.up_masks) if up & image)
+
+
 def exceeds(poset: FinPoset, low: DirectedFamily, high: DirectedFamily) -> bool:
     """Every member of the low family sits below some member of the high one."""
-    for i in low.labels:
-        vi = poset.index(low.value(i))
-        if not any(poset.leq[vi, poset.index(high.value(j))] for j in high.labels):
-            return False
-    return True
+    high_image, up = _image(poset, high), poset.up_masks
+    return all(up[v] & high_image for v in _bits(_image(poset, low)))
 
 
 def mutually_exceed(poset, a, b) -> bool:
@@ -59,20 +75,17 @@ def ind_sup(poset: FinPoset, families: dict) -> DirectedFamily:
     """Supremum of a directed family of families: the disjoint-union family.
 
     ``families`` maps outer labels to DirectedFamily values; the outer family
-    must be directed with respect to exceeds.
+    must be directed with respect to exceeds: the down-closures of every two
+    inner families lie inside the down-closure of a third.
     """
-    outer = list(families)
-    if not outer:
+    if not families:
         raise NotDirected("no inner families given")
-    for i in outer:
-        for j in outer:
-            if not any(
-                exceeds(poset, families[i], families[k])
-                and exceeds(poset, families[j], families[k])
-                for k in outer
-            ):
+    closures = {_down(poset, fam) for fam in families.values()}
+    for a in closures:
+        for b in closures:
+            if not any(not (a | b) & ~c for c in closures):
                 raise NotDirected("outer family is not directed under exceeds")
-    labels = tuple((i, j) for i in outer for j in families[i].labels)
+    labels = tuple((i, j) for i, fam in families.items() for j in fam.labels)
     mapping = {(i, j): families[i].value(j) for (i, j) in labels}
     return DirectedFamily(poset, labels, mapping)
 
@@ -91,52 +104,39 @@ def all_directed_subset_families(poset: FinPoset):
 
 
 def is_left_adjunct(poset: FinPoset, fam: DirectedFamily, x) -> bool:
-    """fam <= beta exactly when x is below sup(beta), for every directed beta."""
+    """fam <= beta exactly when x is below sup(beta), for every directed beta.
+
+    Decided for every directed subset of ``directed_table`` at once: beta
+    exceeds fam when it meets the up-set of each member of fam.
+    """
     xi = poset.index(x)
     dmasks, sups = poset.directed_table
-    for mask, sup in zip(dmasks.tolist(), sups.tolist()):
-        beta = DirectedFamily.from_names(poset, poset.names_of(mask))
-        if exceeds(poset, fam, beta) != bool(poset.leq[xi, sup]):
-            return False
-    return True
+    exceeded = np.ones(len(dmasks), dtype=bool)
+    for v in _bits(_image(poset, fam)):
+        exceeded &= (dmasks & poset.up_masks[v]) != 0
+    return bool((exceeded == poset.leq[xi, sups]).all())
 
 
 def poset_reflection(poset: FinPoset, families) -> tuple:
     """Quotient the given families by mutual exceeds.
 
+    Two families share a class exactly when their down-closures are equal,
+    and one class is below another when its closure lies inside the other's.
     Returns the quotient FinPoset (ordered by exceeds) together with the list
     of class names, parallel to the input.  Class representatives are the
     lexicographically least sorted image among the members.
     """
     families = list(families)
-    classes: list[list[int]] = []
-    for idx, fam in enumerate(families):
-        for cls in classes:
-            if mutually_exceed(poset, fam, families[cls[0]]):
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
-
-    def class_name(cls):
-        rep = min(tuple(sorted(families[i].image_names())) for i in cls)
-        return "{" + ",".join(rep) + "}"
-
-    names = [class_name(cls) for cls in classes]
-    order = sorted(range(len(classes)), key=lambda c: names[c])
-    leq = [
-        [
-            exceeds(poset, families[classes[order[a]][0]], families[classes[order[b]][0]])
-            for b in range(len(classes))
-        ]
-        for a in range(len(classes))
-    ]
+    closures = [_down(poset, fam) for fam in families]
+    reps: dict[int, tuple] = {}
+    for fam, closure in zip(families, closures):
+        image = tuple(sorted(fam.image_names()))
+        reps[closure] = min(reps.get(closure, image), image)
+    names = {closure: "{" + ",".join(rep) + "}" for closure, rep in reps.items()}
+    order = sorted(names, key=names.get)
+    leq = [[not a & ~b for b in order] for a in order]
     quotient = FinPoset(tuple(names[c] for c in order), leq)
-    member_class = {}
-    for ci, cls in enumerate(classes):
-        for idx in cls:
-            member_class[idx] = names[ci]
-    return quotient, [member_class[i] for i in range(len(families))]
+    return quotient, [names[c] for c in closures]
 
 
 def approximating_class_is_unique_adjunct(poset: FinPoset, families, x) -> bool:

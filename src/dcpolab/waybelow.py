@@ -11,9 +11,9 @@ Each route decides the whole relation at once, the first time a poset is
 asked, and caches the read-only matrix on the poset; every query reads it.
 The enumerated route groups every directed subset by its supremum: x is way
 below y unless some directed subset whose supremum is above y misses the
-up-set of x.  The reduced route is one boolean product: x is way below y when
-every g above y is above x.  Basis checks read the matrix, or the order, by
-index through ``BasisMap.indices``.
+up-set of x.  The reduced route is the order: x is way below y when every g
+above y is above x, which on a transitive order says x <= y.  Basis checks
+read the matrix, or the order, by index through ``BasisMap.indices``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ def _enumerated_relation(poset: FinPoset):
 
 def _reduced_relation(poset: FinPoset):
     """Every finite directed subset contains its supremum, so a counterexample
-    can always be shrunk to a single element g with y <= g and not x <= g."""
-    return ~bool_product(~poset.leq, poset.leq.T)
+    can always be shrunk to a single element g with y <= g and not x <= g.
+    On a transitive order, which ``FinPoset`` checked when it was built, that
+    is the order itself: g = y gives x <= y, and transitivity the converse."""
+    return poset.leq
 
 
 def _cached_relation(poset: FinPoset, route):

@@ -83,6 +83,12 @@ def naive_way_below(poset, x, y, directed=None):
     return True
 
 
+def loop_exceeds(poset, low, high):
+    """Every member of the low family lies below some member of the high one,
+    label by label with ``le``."""
+    return all(any(poset.le(low.value(i), high.value(j)) for j in high.labels) for i in low.labels)
+
+
 def naive_is_ideal(basis, subset):
     """Inhabited, down-closed, and every two members (equal ones too) lie
     under a common member, checked per subset with ``prec_holds``."""

@@ -391,6 +391,34 @@ def test_cmd_ind_reflect(tmp_path, capsys):
     assert code == 0 and out.count("~") == 3
 
 
+@pytest.mark.parametrize("which", ["two_chain", "corpus13"])
+def test_cmd_ind_reflect_transcript(tmp_path, capsys, which):
+    # corpus13 is poset 15 of corpus seed 3: 13 elements, 168 directed subsets
+    f = tmp_path / f"{which}.txt"
+    f.write_text(TWO_CHAIN if which == "two_chain" else emit_poset_file(generate_corpus(3, 16, 16)[15]))
+    expected = (TRANSCRIPTS / f"ind_reflect_{which}.txt").read_text()
+    assert run(capsys, "ind-reflect", str(f)) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("example", "lifting:abc"),
+        ("example", "lifting:-3"),
+        ("example", "powerset:"),
+        ("example", "powerset:-1"),
+        ("dyadic", "cmp", "M"),
+        ("dyadic", "interp", "M"),
+        ("dyadic", "ideal-member", "principal:M"),
+        ("tower", "--stages", "1", "--report", "{missing}/report.txt"),
+    ],
+)
+def test_malformed_arguments_are_parse_errors(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2 and out.startswith("parse error: ") and out.count("\n") == 1
+
+
 def test_cmd_corpus_reproducible(capsys):
     code1, out1 = run(capsys, "corpus", "--seed", "3", "--count", "4")
     code2, out2 = run(capsys, "corpus", "--seed", "3", "--count", "4")

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import loop_exceeds
 from dcpolab.errors import NotDirected
 from dcpolab.indcomp import (
     DirectedFamily,
@@ -166,3 +167,51 @@ def test_unique_adjunct_class(small_corpus):
         fams = all_directed_subset_families(poset)
         for x in poset.elements:
             assert approximating_class_is_unique_adjunct(poset, fams, x)
+
+
+def _label_variants(fam):
+    """The family, then one with every label doubled and one with its labels
+    reversed; all three have the same image."""
+    doubled = tuple((k, i) for k in (0, 1) for i in fam.labels)
+    return [
+        fam,
+        DirectedFamily(fam.poset, doubled, {(k, i): fam.value(i) for k, i in doubled}),
+        DirectedFamily(fam.poset, fam.labels[::-1], fam.mapping),
+    ]
+
+
+def test_ind_side_matches_loop_exceeds(small_corpus):
+    # every verdict of the module against the label-by-label definition, on
+    # each directed subset and its doubled and reversed relabellings
+    for poset in small_corpus:
+        subsets = all_directed_subset_families(poset)
+        fams = [v for fam in subsets for v in _label_variants(fam)]
+        idx = range(len(fams))
+        loop = [[loop_exceeds(poset, a, b) for b in fams] for a in fams]
+        assert [[exceeds(poset, a, b) for b in fams] for a in fams] == loop
+
+        # fams[3 * k] is the k-th subset of directed_table
+        _, sups = poset.directed_table
+        for i, x in itertools.product(idx, range(poset.n)):
+            adjunct = all(loop[i][3 * k] == poset.leq[x, s] for k, s in enumerate(sups.tolist()))
+            assert is_left_adjunct(poset, fams[i], poset.elements[x]) == adjunct
+
+        quotient, classes = poset_reflection(poset, fams)
+        images = [tuple(sorted(fam.image_names())) for fam in fams]
+        for i in idx:
+            for j in idx:
+                assert (classes[i] == classes[j]) == (loop[i][j] and loop[j][i])
+                assert quotient.le(classes[i], classes[j]) == loop[i][j]
+            rep = min(images[j] for j in idx if classes[j] == classes[i])
+            assert classes[i] == "{" + ",".join(rep) + "}"
+        assert quotient.elements == tuple(sorted(set(classes)))
+
+        outers = [(i, j) for i in range(0, len(fams), 3) for j in range(0, len(fams), 3)]
+        outers += [(i, i + 1, i + 4) for i in range(len(fams) - 4)]
+        for outer in outers:
+            families = {k: fams[k] for k in outer}
+            if all(any(loop[i][k] and loop[j][k] for k in outer) for i in outer for j in outer):
+                ind_sup(poset, families)
+            else:
+                with pytest.raises(NotDirected):
+                    ind_sup(poset, families)
