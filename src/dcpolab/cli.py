@@ -325,6 +325,8 @@ def cmd_tower(args) -> int:
 def cmd_dyadic(args) -> int:
     if args.b is None and args.action != "rat":
         raise ParseError(f"dyadic {args.action} needs a second operand")
+    if args.b is not None and args.action == "rat":
+        raise ParseError("dyadic rat takes one operand")
     if args.action == "cmp":
         x, y = dyadics.parse_path(args.a), dyadics.parse_path(args.b)
         if dyadics.dy_prec(x, y):
@@ -393,6 +395,8 @@ def cmd_ind_reflect(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.max_size < 2:
+        raise ParseError("--max-size must be 2 or more")
     for poset in generate_corpus(args.seed, args.count, args.max_size):
         sys.stdout.write(emit_poset_file(poset))
         print()

@@ -49,7 +49,9 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
     over every predecessor.  Each kept partial row counts as one search node
     against the budget, which is checked before a level is allocated.
     A level decides its values in blocks, each one array pass over every
-    parent row (``_grown_level``).
+    parent row (``_grown_level``).  A level keeps only its parent links and
+    values, and carries forward just the columns that a later lower cover
+    reads; the full rows are assembled once, walking the links backwards.
 
     Each level is laid out row-major, by parent row and then by value, so
     sorted parents give sorted children.  When the element order is itself
@@ -66,20 +68,22 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
     covers = [[] for _ in range(D.n)]
     for c, x in zip(lower.tolist(), upper.tolist()):
         covers[x].append(column[c])
-    rows = np.zeros((1, 0), dtype=np.intp)
-    nodes = 0
+    last_read = {j: k for k, x in enumerate(topo) for j in covers[x]}
+    live, levels, n_rows, nodes = {}, [], 1, 0
     for k, x in enumerate(topo):
-        below = [rows[:, j] for j in covers[x]]
-        parents, values, nodes = _grown_level(len(rows), below, E.leq, nodes, node_budget)
-        level = np.empty((len(parents), k + 1), dtype=np.intp)
-        level[:, :k] = rows[parents]
-        level[:, k] = values
-        rows = level
-    if in_order:
-        graphs = rows
-    else:
-        graphs = np.empty_like(rows)
-        graphs[:, topo] = rows
+        below = [live[j] for j in covers[x]]
+        parents, values, nodes = _grown_level(n_rows, below, E.leq, nodes, node_budget)
+        live = {j: col[parents] for j, col in live.items() if last_read[j] > k}
+        if last_read.get(k, k) > k:
+            live[k] = values
+        levels.append((parents, values))
+        n_rows = len(parents)
+    graphs = np.empty((n_rows, D.n), dtype=np.intp)
+    rows = np.arange(n_rows)
+    for x, (parents, values) in zip(topo[::-1], levels[::-1]):
+        graphs[:, x] = values[rows]
+        rows = parents[rows]
+    if not in_order:
         graphs = graphs[np.lexsort(graphs.T[::-1])]
     graphs.setflags(write=False)
     return graphs

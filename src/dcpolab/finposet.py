@@ -422,22 +422,19 @@ def mono_compose(outer: MonoMap, inner: MonoMap) -> MonoMap:
 def scott_continuity_of_graph(source, target, graph) -> bool:
     """Monotone and preserving directed suprema; works on unchecked graphs.
 
-    The image supremum is recomputed from scratch (least common upper bound)
-    rather than read off the image's greatest member, so the directed-sup
-    clause is checked independently of the monotonicity shortcut.  Both
-    steps are counting products over every directed subset at once: u bounds
-    the image when no member maps outside the down-set of u, and a bound is
-    least when no bound lies outside its up-set.
+    The directed-sup clause is decided on every directed subset S of the
+    source, with no appeal to monotonicity: its supremum s is a member of S,
+    and f(x) <= f(s) for every member x.  Then f(s) is a member of f[S] that
+    bounds it, so f(s) is the supremum of f[S].  That is one boolean gather
+    of the target order over all subsets at once, with no matrix product.
     """
     g = np.asarray(graph, dtype=np.intp)
     if not _graph_is_monotone(source, target, g):
         return False
     dmasks, sups = source.directed_table
-    members = (dmasks[:, None] >> np.arange(source.n)) & 1
-    not_le = ~target.leq
-    ubs = ~bool_product(members, not_le[g])
-    least = ubs & ~bool_product(ubs, not_le.T)
-    return bool(least[np.arange(len(sups)), g[sups]].all())
+    members = ((dmasks[:, None] >> np.arange(source.n)) & 1).astype(bool)
+    below_sup = target.leq[g[None, :], g[sups][:, None]]
+    return bool(((dmasks >> sups) & 1).all() and not (members & ~below_sup).any())
 
 
 def is_scott_continuous(f: MonoMap) -> bool:

@@ -5,8 +5,8 @@ they use only the public ``le`` predicate and plain itertools, so agreement
 between an oracle and a production routine is a genuine two-route check.
 The exceptions are the loop versions of replaced routines
 (``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``,
-``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up``, the
-``loop_*`` section-law checks, the ``loop_*`` mask routines, the dyadic
+``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up``,
+``product_continuity``, the ``loop_*`` section-law checks, the ``loop_*`` mask routines, the dyadic
 ``fold_*`` routines and ``loop_dyadic_validate``): they read the same tables
 and maps as the vectorised code, and pin its outputs to theirs.
 """
@@ -32,6 +32,7 @@ from dcpolab.finposet import (
     FinPoset,
     MonoMap,
     _bits,
+    bool_product,
     closure_from_covers,
     componentwise_leq,
     is_order_isomorphism,
@@ -346,6 +347,22 @@ def one_entry_changed(pair):
             if v != old:
                 graph = p.graph[:j] + (v,) + p.graph[j + 1 :]
                 yield EpPair(embed=e, project=MonoMap(p.source, p.target, graph, check=False))
+
+
+def product_continuity(source, target, graph):
+    """Scott continuity with the image supremum recomputed from scratch: two
+    counting products over every directed subset.  u bounds the image when no
+    member maps outside the down-set of u, and a bound is least when no bound
+    lies outside its up-set."""
+    g = np.asarray(graph, dtype=np.intp)
+    if (source.leq & ~target.leq[np.ix_(g, g)]).any():
+        return False
+    dmasks, sups = source.directed_table
+    members = (dmasks[:, None] >> np.arange(source.n)) & 1
+    not_le = ~target.leq
+    ubs = ~bool_product(members, not_le[g])
+    least = ubs & ~bool_product(ubs, not_le.T)
+    return bool(least[np.arange(len(sups)), g[sups]].all())
 
 
 def loop_section(section, retraction):

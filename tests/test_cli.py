@@ -419,6 +419,19 @@ def test_malformed_arguments_are_parse_errors(tmp_path, capsys, argv):
     assert code == 2 and out.startswith("parse error: ") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dyadic", "rat", "M", "L.M"),
+        ("corpus", "--max-size", "1"),
+        ("corpus", "--max-size", "0"),
+    ],
+)
+def test_out_of_range_arguments_are_parse_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out.startswith("parse error: ") and out.count("\n") == 1
+
+
 def test_cmd_corpus_reproducible(capsys):
     code1, out1 = run(capsys, "corpus", "--seed", "3", "--count", "4")
     code2, out2 = run(capsys, "corpus", "--seed", "3", "--count", "4")

@@ -19,6 +19,8 @@ from conftest import (
     lub_oracle,
     naive_directed_subsets,
     one_entry_changed,
+    product_continuity,
+    retract_chains,
     small_posets,
 )
 
@@ -322,6 +324,53 @@ def test_scott_continuity_matches_the_lub_oracle(source, target, data):
     else:
         graph = data.draw(st.lists(st.integers(0, target.n - 1), min_size=source.n, max_size=source.n))
     assert scott_continuity_of_graph(source, target, graph) == _continuity_oracle(source, target, graph)
+
+
+def test_scott_continuity_matches_the_product_oracle(small_corpus):
+    # every pair among the first eight posets, and each poset into the next
+    pairs = itertools.product(small_corpus[:8], repeat=2)
+    for source, target in itertools.chain(pairs, zip(small_corpus, small_corpus[1:])):
+        for graph in monotone_graphs(source, target).tolist():
+            assert scott_continuity_of_graph(source, target, graph) == product_continuity(source, target, graph)
+    ep_pairs = list(generate_ep_corpus(31, 25, 5))
+    ep_pairs += [pair for tower in retract_chains(13, 20) for pair in tower.pairs]
+    verdicts = set()
+    for pair in ep_pairs:
+        for case in one_entry_changed(pair):
+            for f in (case.embed, case.project):
+                verdict = is_scott_continuous(f)
+                assert verdict == product_continuity(f.source, f.target, f.graph)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _chain(n):
+    names = [f"c{i}" for i in range(n)]
+    return closure_from_covers(names, list(zip(names, names[1:])))
+
+
+def test_scott_continuity_makes_no_matrix_product(monkeypatch):
+    chain = _chain(16)
+    # the lattice 2 x 7 retracts onto 2 x {0, 1, 3, 5, 6}: (i, j) goes to
+    # (i, k) for the greatest such k <= j
+    keep = (0, 1, 3, 5, 6)
+    cells = [(i, j) for i in range(2) for j in range(7)]
+    covers = [(f"a{i}{j}", f"a{i}{j + 1}") for i in range(2) for j in range(6)]
+    covers += [(f"a0{j}", f"a1{j}") for j in range(7)]
+    big = closure_from_covers([f"a{i}{j}" for i, j in cells], covers)
+    small = subposet(big, [f"a{i}{j}" for i, j in cells if j in keep])
+    section = MonoMap.from_mapping(small, big, lambda x: x)
+    retraction = MonoMap.from_mapping(big, small, lambda x: f"{x[:2]}{max(k for k in keep if k <= int(x[2]))}")
+    assert big.n == 14 and big.is_lattice() and small.n == 10
+    shifted = MonoMap(chain, chain, [min(i + 1, 15) for i in range(16)])
+
+    def refused(*_args):
+        raise AssertionError("a matrix product was called")
+
+    monkeypatch.setattr(finposet, "bool_product", refused)
+    assert is_scott_continuous(shifted) and is_scott_continuous(MonoMap.identity(chain))
+    assert is_scott_continuous(section) and is_scott_continuous(retraction)
+    assert validate_ep_pair(EpPair(embed=section, project=retraction))
 
 
 def test_validate_ep_pair_identity(diamond):
