@@ -74,7 +74,7 @@ def monotone_graphs(D: FinPoset, E: FinPoset, node_budget: int = NODE_BUDGET) ->
         below = [live[j] for j in covers[x]]
         parents, values, nodes = _grown_level(n_rows, below, E.leq, nodes, node_budget)
         live = {j: col[parents] for j, col in live.items() if last_read[j] > k}
-        if last_read.get(k, k) > k:
+        if k in last_read:
             live[k] = values
         levels.append((parents, values))
         n_rows = len(parents)
