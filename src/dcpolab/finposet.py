@@ -425,16 +425,17 @@ def scott_continuity_of_graph(source, target, graph) -> bool:
     The directed-sup clause is decided on every directed subset S of the
     source, with no appeal to monotonicity: its supremum s is a member of S,
     and f(x) <= f(s) for every member x.  Then f(s) is a member of f[S] that
-    bounds it, so f(s) is the supremum of f[S].  That is one boolean gather
-    of the target order over all subsets at once, with no matrix product.
+    bounds it, so f(s) is the supremum of f[S].  The second condition says
+    that S lies inside the mask of the x with f(x) <= f(s): one gather of a
+    mask per subset, with no matrix product.
     """
     g = np.asarray(graph, dtype=np.intp)
     if not _graph_is_monotone(source, target, g):
         return False
     dmasks, sups = source.directed_table
-    members = ((dmasks[:, None] >> np.arange(source.n)) & 1).astype(bool)
-    below_sup = target.leq[g[None, :], g[sups][:, None]]
-    return bool(((dmasks >> sups) & 1).all() and not (members & ~below_sup).any())
+    # bit x of entry s: f(x) <= f(s)
+    below = np.array(_row_masks(_pulled_back(target.leq, g).T), dtype=np.int64)
+    return bool(((dmasks >> sups) & 1).all() and not (dmasks & ~below[sups]).any())
 
 
 def is_scott_continuous(f: MonoMap) -> bool:
