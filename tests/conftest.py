@@ -6,9 +6,10 @@ between an oracle and a production routine is a genuine two-route check.
 The exceptions are the loop versions of replaced routines
 (``frontier_join_closure``, ``fold_directify``, ``nested_supcomplete_check``,
 ``product_scan_bilimit``, ``looked_up_projection``, ``looped_push_up``,
-``product_continuity``, the ``loop_*`` section-law checks, the ``loop_*`` mask routines, the dyadic
-``fold_*`` routines and ``loop_dyadic_validate``): they read the same tables
-and maps as the vectorised code, and pin its outputs to theirs.
+``product_continuity``, the ``loop_*`` section-law checks, the ``loop_*`` mask
+routines, the dyadic ``fold_*`` routines and ``loop_dyadic_validate``): they
+read the same tables and maps as the vectorised code, and pin its outputs to
+theirs.
 """
 
 from __future__ import annotations
